@@ -105,16 +105,6 @@ fn median_ns(min_iters: usize, floor: Duration, mut f: impl FnMut()) -> (u64, us
     (samples[samples.len() / 2], samples.len())
 }
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// FNV-1a fold of one word (same constants as the DES engine digests).
 fn fold(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
@@ -586,7 +576,7 @@ fn main() {
             "  \"kernels\": [\n    {}\n  ]\n",
             "}}\n"
         ),
-        git_rev(),
+        fdw_bench::git_rev(),
         smoke,
         std::env::consts::OS,
         std::env::consts::ARCH,

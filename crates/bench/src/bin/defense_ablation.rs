@@ -19,16 +19,6 @@ use fakequakes::stations::ChileanInput;
 use fdw_bench::{smoke, smoke_scaled};
 use fdw_core::prelude::*;
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// One ablation arm, summarised.
 struct Arm {
     label: &'static str,
@@ -140,7 +130,7 @@ fn main() {
     let mut defended = cfg.clone();
     defended.defense.scoreboard_enabled = true;
     defended.defense.checksum_enabled = true;
-    defended.speculation.enabled = true;
+    defended.speculation = true;
     let on = run_arm("defenses-on", &defended, &cluster, baseline);
 
     println!(
@@ -202,7 +192,7 @@ fn main() {
          \"badput_reduction_pct\": {},\n\
          \"arms\": [\n  {},\n  {}\n]\n\
          }}\n",
-        git_rev(),
+        fdw_bench::git_rev(),
         smoke(),
         cfg.seed,
         fdw_obs::json::fmt_f64((reduction * 10.0).round() / 10.0),

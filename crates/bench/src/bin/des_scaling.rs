@@ -24,16 +24,6 @@ use std::time::Instant;
 use fdw_bench::smoke;
 use htcsim::des::{synth_engine, EngineReport, SynthConfig};
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// One measured configuration.
 struct Arm {
     label: String,
@@ -158,7 +148,7 @@ fn main() {
          \"makespan_s\": {},\n\
          \"arms\": [\n  {}\n]\n\
          }}\n",
-        git_rev(),
+        fdw_bench::git_rev(),
         smoke(),
         cfg.lanes,
         cfg.lanes * cfg.slots_per_lane,

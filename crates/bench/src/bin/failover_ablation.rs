@@ -22,16 +22,6 @@ use fdw_core::prelude::*;
 use htcsim::fault::PoolFaultConfig;
 use htcsim::federation::FederationConfig;
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// One ablation arm, summarised.
 struct Arm {
     label: &'static str,
@@ -209,7 +199,7 @@ fn main() {
          \"badput_cut_pct\": {},\n\
          \"arms\": [\n  {},\n  {}\n]\n\
          }}\n",
-        git_rev(),
+        fdw_bench::git_rev(),
         smoke(),
         cfg.seed,
         fdw_obs::json::fmt_f64((badput_cut * 10.0).round() / 10.0),

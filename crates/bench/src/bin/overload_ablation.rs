@@ -29,16 +29,6 @@ use fdw_service::config::ServiceConfig;
 use fdw_service::engine::run_service;
 use fdw_service::request::WorkloadConfig;
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// One (overload level, policy) arm, summarised.
 struct Arm {
     label: String,
@@ -234,7 +224,7 @@ fn main() {
          \"overload_levels\": [2, 6, 10],\n\
          \"arms\": [\n  {}\n]\n\
          }}\n",
-        git_rev(),
+        fdw_bench::git_rev(),
         smoke(),
         base_wl.campaigns,
         tenants,

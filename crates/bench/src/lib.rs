@@ -50,6 +50,18 @@ pub fn smoke_scaled(full: u64, reduced: u64) -> u64 {
     }
 }
 
+/// Short hash of the checked-out commit, recorded in every BENCH file
+/// (`"unknown"` outside a git checkout).
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Telemetry output directory (`FDW_OBS_DIR`), if requested.
 pub fn obs_dir() -> Option<PathBuf> {
     std::env::var_os("FDW_OBS_DIR")

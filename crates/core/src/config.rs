@@ -5,7 +5,6 @@
 //! The format is `key = value` lines with `#` comments — serialisable via
 //! [`FdwConfig::to_config_file`] and parsed by [`FdwConfig::parse`].
 
-use dagman::driver::SpeculationConfig;
 use fakequakes::stations::ChileanInput;
 use fakequakes::stf::StfKind;
 use fdw_service::config::ServiceConfig;
@@ -112,7 +111,7 @@ pub struct FdwConfig {
     /// Pool-side failure defenses (scoreboard, checksums; off by default).
     pub defense: DefenseConfig,
     /// DAGMan straggler speculation (off by default).
-    pub speculation: SpeculationConfig,
+    pub speculation: bool,
     /// Federated multi-pool layer: pool fault domains, circuit-breaker
     /// failover, checkpoint/restart migration (off by default).
     pub federation: FederationConfig,
@@ -146,7 +145,7 @@ impl Default for FdwConfig {
             job_timeout_s: 0,
             fault: FaultConfig::default(),
             defense: DefenseConfig::default(),
-            speculation: SpeculationConfig::default(),
+            speculation: false,
             federation: FederationConfig::default(),
             service: ServiceConfig::default(),
             des_shards: 0,
@@ -176,8 +175,6 @@ impl FdwConfig {
             return Err("des_shards must be at most 4096".into());
         }
         self.fault.validate()?;
-        self.defense.validate()?;
-        self.speculation.validate()?;
         self.federation.validate()?;
         self.service.validate()?;
         Ok(())
@@ -229,22 +226,11 @@ impl FdwConfig {
              fault_hold_release_s = {}\n\
              fault_corrupt = {}\n\
              defense_scoreboard = {}\n\
-             defense_ewma_alpha = {}\n\
-             defense_fast_fail_s = {}\n\
-             defense_deprioritize = {}\n\
-             defense_blacklist_after = {}\n\
-             defense_parole_s = {}\n\
              defense_checksum = {}\n\
-             defense_checksum_requeue_s = {}\n\
              speculation = {}\n\
-             speculation_multiplier = {}\n\
-             speculation_quantile = {}\n\
-             speculation_min_samples = {}\n\
              federation_enabled = {}\n\
              federation_failover = {}\n\
              federation_burst_idle = {}\n\
-             federation_breaker_threshold = {}\n\
-             federation_breaker_probe_s = {}\n\
              federation_spinup_s = {}\n\
              checkpoint_enabled = {}\n\
              checkpoint_interval_s = {}\n\
@@ -296,22 +282,11 @@ impl FdwConfig {
             self.fault.hold_release_s,
             self.fault.corrupt_prob,
             self.defense.scoreboard_enabled,
-            self.defense.ewma_alpha,
-            self.defense.fast_fail_s,
-            self.defense.deprioritize_threshold,
-            self.defense.blacklist_after,
-            self.defense.parole_s,
             self.defense.checksum_enabled,
-            self.defense.checksum_requeue_s,
-            self.speculation.enabled,
-            self.speculation.multiplier,
-            self.speculation.quantile,
-            self.speculation.min_samples,
+            self.speculation,
             self.federation.enabled,
             self.federation.failover_enabled,
             self.federation.burst_idle_threshold,
-            self.federation.breaker_failure_threshold,
-            self.federation.breaker_probe_s,
             self.federation.cloud_spinup_s,
             self.federation.checkpoint_enabled,
             self.federation.checkpoint_interval_s,
@@ -421,48 +396,11 @@ impl FdwConfig {
                     cfg.defense.scoreboard_enabled =
                         value.parse().map_err(|_| bad("defense_scoreboard"))?
                 }
-                "defense_ewma_alpha" => {
-                    cfg.defense.ewma_alpha = value.parse().map_err(|_| bad("defense_ewma_alpha"))?
-                }
-                "defense_fast_fail_s" => {
-                    cfg.defense.fast_fail_s =
-                        value.parse().map_err(|_| bad("defense_fast_fail_s"))?
-                }
-                "defense_deprioritize" => {
-                    cfg.defense.deprioritize_threshold =
-                        value.parse().map_err(|_| bad("defense_deprioritize"))?
-                }
-                "defense_blacklist_after" => {
-                    cfg.defense.blacklist_after =
-                        value.parse().map_err(|_| bad("defense_blacklist_after"))?
-                }
-                "defense_parole_s" => {
-                    cfg.defense.parole_s = value.parse().map_err(|_| bad("defense_parole_s"))?
-                }
                 "defense_checksum" => {
                     cfg.defense.checksum_enabled =
                         value.parse().map_err(|_| bad("defense_checksum"))?
                 }
-                "defense_checksum_requeue_s" => {
-                    cfg.defense.checksum_requeue_s = value
-                        .parse()
-                        .map_err(|_| bad("defense_checksum_requeue_s"))?
-                }
-                "speculation" => {
-                    cfg.speculation.enabled = value.parse().map_err(|_| bad("speculation"))?
-                }
-                "speculation_multiplier" => {
-                    cfg.speculation.multiplier =
-                        value.parse().map_err(|_| bad("speculation_multiplier"))?
-                }
-                "speculation_quantile" => {
-                    cfg.speculation.quantile =
-                        value.parse().map_err(|_| bad("speculation_quantile"))?
-                }
-                "speculation_min_samples" => {
-                    cfg.speculation.min_samples =
-                        value.parse().map_err(|_| bad("speculation_min_samples"))?
-                }
+                "speculation" => cfg.speculation = value.parse().map_err(|_| bad("speculation"))?,
                 "federation_enabled" => {
                     cfg.federation.enabled = value.parse().map_err(|_| bad("federation_enabled"))?
                 }
@@ -473,16 +411,6 @@ impl FdwConfig {
                 "federation_burst_idle" => {
                     cfg.federation.burst_idle_threshold =
                         value.parse().map_err(|_| bad("federation_burst_idle"))?
-                }
-                "federation_breaker_threshold" => {
-                    cfg.federation.breaker_failure_threshold = value
-                        .parse()
-                        .map_err(|_| bad("federation_breaker_threshold"))?
-                }
-                "federation_breaker_probe_s" => {
-                    cfg.federation.breaker_probe_s = value
-                        .parse()
-                        .map_err(|_| bad("federation_breaker_probe_s"))?
                 }
                 "federation_spinup_s" => {
                     cfg.federation.cloud_spinup_s =
@@ -684,36 +612,46 @@ mod tests {
         let cfg = FdwConfig {
             defense: DefenseConfig {
                 scoreboard_enabled: true,
-                ewma_alpha: 0.3,
-                fast_fail_s: 45.0,
-                deprioritize_threshold: 0.6,
-                blacklist_after: 3,
-                parole_s: 900.0,
                 checksum_enabled: true,
-                checksum_requeue_s: 20.0,
             },
-            speculation: SpeculationConfig {
-                enabled: true,
-                multiplier: 2.5,
-                quantile: 0.9,
-                min_samples: 4,
-            },
+            speculation: true,
             ..Default::default()
         };
         let text = cfg.to_config_file();
         assert!(text.contains("defense_scoreboard = true"));
-        assert!(text.contains("speculation_multiplier = 2.5"));
+        assert!(text.contains("speculation = true"));
         let parsed = FdwConfig::parse(&text).unwrap();
         assert_eq!(parsed, cfg);
         // Defaults keep every defense off, so legacy configs are
         // untouched by the new knobs.
         let d = FdwConfig::default();
         assert!(!d.defense.any_enabled());
-        assert!(!d.speculation.enabled);
-        // Bad knob values are rejected at validate time.
-        assert!(FdwConfig::parse("defense_scoreboard = true\ndefense_ewma_alpha = 2.0\n").is_err());
-        assert!(FdwConfig::parse("speculation = true\nspeculation_multiplier = 0.5\n").is_err());
+        assert!(!d.speculation);
         assert!(FdwConfig::parse("defense_scoreboards = true\n").is_err());
+    }
+
+    #[test]
+    fn tuning_constants_are_not_keys() {
+        // The scoreboard, speculation and pool-breaker tunings are
+        // constants beside the code that reads them, not file keys.
+        let text = FdwConfig::default().to_config_file();
+        assert_eq!(text.lines().filter(|l| l.contains(" = ")).count(), 56);
+        for key in [
+            "defense_ewma_alpha",
+            "defense_fast_fail_s",
+            "defense_deprioritize",
+            "defense_blacklist_after",
+            "defense_parole_s",
+            "defense_checksum_requeue_s",
+            "speculation_multiplier",
+            "speculation_quantile",
+            "speculation_min_samples",
+            "federation_breaker_threshold",
+            "federation_breaker_probe_s",
+        ] {
+            let err = FdwConfig::parse(&format!("{key} = 1\n")).unwrap_err();
+            assert_eq!(err, format!("line 1: unknown key '{key}'"));
+        }
     }
 
     #[test]
@@ -749,8 +687,6 @@ mod tests {
                 enabled: true,
                 failover_enabled: true,
                 burst_idle_threshold: 12,
-                breaker_failure_threshold: 5,
-                breaker_probe_s: 450.0,
                 checkpoint_enabled: true,
                 checkpoint_interval_s: 90.0,
                 cloud_spinup_s: 240.0,
@@ -779,10 +715,10 @@ mod tests {
         // on the single flat pool.
         assert!(!FdwConfig::default().federation.enabled);
         // Bad knob values are rejected at validate time.
-        assert!(
-            FdwConfig::parse("federation_enabled = true\nfederation_breaker_probe_s = 0\n")
-                .is_err()
-        );
+        assert!(FdwConfig::parse(
+            "federation_enabled = true\ncheckpoint_enabled = true\ncheckpoint_interval_s = 0\n"
+        )
+        .is_err());
         assert!(FdwConfig::parse("fault_preempt = 1.5\n").is_err());
         assert!(FdwConfig::parse("federation_failovers = true\n").is_err());
     }

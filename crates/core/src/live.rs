@@ -16,7 +16,7 @@ use fakequakes::greens::GfLibrary;
 use fakequakes::noise::NoiseModel;
 use fakequakes::rupture::{RuptureConfig, RuptureGenerator, RuptureScenario};
 use fakequakes::stations::StationNetwork;
-use fakequakes::stochastic::{FactorBackend, FactorCache};
+use fakequakes::stochastic::FactorCache;
 use fakequakes::waveform::WaveformConfig;
 use fdw_obs::Obs;
 
@@ -134,33 +134,6 @@ pub fn live_rupture_job_with_obs(
         after.misses.saturating_sub(before.misses),
     );
     Ok(out)
-}
-
-/// [`live_rupture_job`] over an explicit [`FactorBackend`] — the seam
-/// the service layer's shared artifact store plugs into, so a fleet of
-/// tenants' rupture jobs can share one budgeted factor cache instead of
-/// the process-wide one.
-pub fn live_rupture_job_with_backend(
-    cfg: &FdwConfig,
-    inputs: &LiveInputs,
-    matrices: &DistanceMatrices,
-    first: u64,
-    count: u64,
-    backend: &dyn FactorBackend,
-) -> FqResult<Vec<RuptureScenario>> {
-    let rcfg = RuptureConfig {
-        mw_range: cfg.mw_range,
-        ..Default::default()
-    };
-    let generator = RuptureGenerator::new_with_backend(
-        &inputs.fault,
-        &matrices.subfault_to_subfault,
-        rcfg,
-        backend,
-    )?;
-    Ok((first..first + count)
-        .map(|id| generator.generate(cfg.seed, id))
-        .collect())
 }
 
 /// Live B-phase work: compute the Green's function library (the `gf.0`
@@ -334,24 +307,6 @@ mod tests {
         for (x, y) in a.iter().zip(&plain) {
             assert_eq!(x.slip_m, y.slip_m);
         }
-    }
-
-    #[test]
-    fn backend_job_matches_cached_job_bit_for_bit() {
-        // A budgeted private backend and the process-wide cache must
-        // produce the same scenarios — the backend seam is pure plumbing.
-        let cfg = tiny_cfg();
-        let inputs = build_inputs(&cfg).unwrap();
-        let matrices = live_matrix_phase(&inputs);
-        let via_global = live_rupture_job(&cfg, &inputs, &matrices, 0, 3).unwrap();
-        let private = FactorCache::with_byte_budget(1);
-        let via_backend =
-            live_rupture_job_with_backend(&cfg, &inputs, &matrices, 0, 3, &private).unwrap();
-        for (a, b) in via_global.iter().zip(&via_backend) {
-            assert_eq!(a.slip_m, b.slip_m);
-            assert_eq!(a.onset_s, b.onset_s);
-        }
-        assert!(private.stats().misses >= 1);
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub fn science_digest(
             }
         };
         let before = cache.stats().misses;
-        let generator = RuptureGenerator::new_with_backend(
+        let generator = RuptureGenerator::new_cached(
             &ci.fault,
             &ci.distances.subfault_to_subfault,
             rcfg,

@@ -221,7 +221,7 @@ proptest! {
         let mut defended = cfg.clone();
         defended.defense.scoreboard_enabled = true;
         defended.defense.checksum_enabled = true;
-        defended.speculation.enabled = true;
+        defended.speculation = true;
         let on = run_chaos_campaign(
             FaultClass::BlackHole,
             f64::from(bh) / 10.0,

@@ -18,51 +18,16 @@ use crate::dag::{Dag, NodeId};
 /// Retry backoff never exceeds this many seconds, whatever the attempt.
 const MAX_BACKOFF_S: u64 = 3600;
 
-/// Straggler-speculation knobs. Off by default: existing runs are
-/// bit-identical until `enabled` is set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationConfig {
-    /// Master switch for speculative re-execution.
-    pub enabled: bool,
-    /// A started node becomes a straggler when its runtime exceeds
-    /// `multiplier` times the phase's expected cost.
-    pub multiplier: f64,
-    /// Quantile of the phase's completed execution times used as the
-    /// expected cost (0.5 = median).
-    pub quantile: f64,
-    /// Completed samples a phase needs before speculation can trigger.
-    pub min_samples: usize,
-}
+/// A started node becomes a straggler when its runtime exceeds this
+/// multiple of its phase's expected cost.
+pub const SPECULATION_MULTIPLIER: f64 = 2.0;
 
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            multiplier: 2.0,
-            quantile: 0.75,
-            min_samples: 3,
-        }
-    }
-}
+/// Quantile of a phase's completed execution times used as its expected
+/// cost (0.5 = median).
+pub const SPECULATION_QUANTILE: f64 = 0.75;
 
-impl SpeculationConfig {
-    /// Reject meaningless knob settings.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if self.multiplier < 1.0 || self.multiplier.is_nan() {
-            return Err("speculation multiplier must be >= 1".into());
-        }
-        if !(self.quantile > 0.0 && self.quantile <= 1.0) {
-            return Err("speculation quantile must be in (0, 1]".into());
-        }
-        if self.min_samples == 0 {
-            return Err("speculation min_samples must be positive".into());
-        }
-        Ok(())
-    }
-}
+/// Completed samples a phase needs before speculation can trigger.
+pub const SPECULATION_MIN_SAMPLES: usize = 3;
 
 /// A permanently failed node, as reported by [`Dagman::failed_nodes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,8 +117,8 @@ pub struct Dagman {
     submit_at: Vec<SimTime>,
     /// Telemetry handle (disabled by default).
     obs: Obs,
-    /// Straggler-speculation knobs (defense layer; off by default).
-    spec_cfg: SpeculationConfig,
+    /// Straggler speculation switch (defense layer; off by default).
+    speculate: bool,
     /// Execution start time of each live attempt, by job id.
     exec_started: HashMap<JobId, SimTime>,
     /// The current primary attempt's job id per node.
@@ -217,7 +182,7 @@ impl Dagman {
             releases: 0,
             submit_at: vec![SimTime(0); n],
             obs: Obs::disabled(),
-            spec_cfg: SpeculationConfig::default(),
+            speculate: false,
             exec_started: HashMap::new(),
             primary_job: vec![None; n],
             spec_job: vec![None; n],
@@ -232,9 +197,9 @@ impl Dagman {
         }
     }
 
-    /// Enable/configure straggler speculation.
-    pub fn with_speculation(mut self, cfg: SpeculationConfig) -> Self {
-        self.spec_cfg = cfg;
+    /// Switch straggler speculation on or off.
+    pub fn with_speculation(mut self, enabled: bool) -> Self {
+        self.speculate = enabled;
         self
     }
 
@@ -686,23 +651,23 @@ impl Dagman {
         true
     }
 
-    /// Expected cost of a phase: the configured quantile over completed
-    /// execution times, once enough samples exist.
+    /// Expected cost of a phase: the [`SPECULATION_QUANTILE`] over
+    /// completed execution times, once enough samples exist.
     fn phase_expected(&self, phase: &str) -> Option<f64> {
         let samples = self.phase_durations.get(phase)?;
-        if samples.len() < self.spec_cfg.min_samples {
+        if samples.len() < SPECULATION_MIN_SAMPLES {
             return None;
         }
         let mut sorted = samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let idx = ((sorted.len() - 1) as f64 * self.spec_cfg.quantile).round() as usize;
+        let idx = ((sorted.len() - 1) as f64 * SPECULATION_QUANTILE).round() as usize;
         Some(sorted[idx.min(sorted.len() - 1)])
     }
 
     /// Straggler scan: launch one speculative duplicate for any started
     /// node whose attempt has run well past its phase's expected cost.
     fn speculation_submissions(&mut self) -> Vec<SubmitRequest> {
-        if !self.spec_cfg.enabled {
+        if !self.speculate {
             return Vec::new();
         }
         let mut out = Vec::new();
@@ -723,7 +688,7 @@ impl Dagman {
             else {
                 continue;
             };
-            if (self.now.since(start) as f64) <= expected * self.spec_cfg.multiplier {
+            if (self.now.since(start) as f64) <= expected * SPECULATION_MULTIPLIER {
                 continue;
             }
             self.speculated[i] = true;
@@ -872,10 +837,10 @@ impl MultiDagman {
         self
     }
 
-    /// Apply one speculation config to every inner DAGMan.
-    pub fn with_speculation(mut self, cfg: SpeculationConfig) -> Self {
+    /// Switch straggler speculation on or off for every inner DAGMan.
+    pub fn with_speculation(mut self, enabled: bool) -> Self {
         for dm in &mut self.dagmans {
-            dm.spec_cfg = cfg;
+            dm.speculate = enabled;
         }
         self
     }
@@ -1305,7 +1270,7 @@ mod tests {
     fn speculation_duplicates_stragglers_first_finisher_wins() {
         use htcsim::job::ExecModel;
         // Heavy-tailed runtimes: the lognormal tail plus machine speed
-        // spread guarantees stragglers well past 2x the median quantile.
+        // spread guarantees stragglers well past 2x the 0.75 quantile.
         let mut dag = Dag::new();
         for i in 0..40 {
             let mut spec = JobSpec::fixed(format!("w.{i}"), 120.0);
@@ -1315,12 +1280,7 @@ mod tests {
             };
             dag.add_node(spec).unwrap();
         }
-        let mut dm = Dagman::new(dag, OwnerId(0)).with_speculation(SpeculationConfig {
-            enabled: true,
-            multiplier: 2.0,
-            quantile: 0.5,
-            min_samples: 3,
-        });
+        let mut dm = Dagman::new(dag, OwnerId(0)).with_speculation(true);
         let report = quick_cluster(21).run(&mut dm);
         assert!(dm.is_done());
         assert_eq!(dm.completed(), 40);

@@ -34,7 +34,7 @@ pub mod rescue;
 /// Glob import of the most-used types.
 pub mod prelude {
     pub use crate::dag::{Dag, Node, NodeId, Throttles};
-    pub use crate::driver::{Dagman, FailedNode, MultiDagman, NodeState, SpeculationConfig};
+    pub use crate::driver::{Dagman, FailedNode, MultiDagman, NodeState};
     pub use crate::monitor::{
         instant_throughput_for, mean_sd, per_dagman_stats, running_for, DagmanStats, MeanSd,
     };

@@ -295,7 +295,6 @@ proptest! {
         n in 4usize..24,
         seed in any::<u64>(),
     ) {
-        use dagman::driver::SpeculationConfig;
         use htcsim::job::{ExecModel, JobEventKind};
 
         let mut dag = Dag::new();
@@ -304,12 +303,7 @@ proptest! {
             spec.exec = ExecModel::LogNormalMedian { median_s: 120.0, sigma: 1.2 };
             dag.add_node(spec).unwrap();
         }
-        let mut dm = Dagman::new(dag, OwnerId(0)).with_speculation(SpeculationConfig {
-            enabled: true,
-            multiplier: 1.5,
-            quantile: 0.5,
-            min_samples: 3,
-        });
+        let mut dm = Dagman::new(dag, OwnerId(0)).with_speculation(true);
         let report = fast_cluster(seed).run(&mut dm);
         prop_assert!(!report.timed_out);
         prop_assert_eq!(dm.completed(), n);

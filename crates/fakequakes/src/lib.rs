@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::spectra::{amplitude_spectrum, spectral_summary, SpectralSummary};
     pub use crate::stations::{ChileanInput, Station, StationNetwork};
     pub use crate::stf::StfKind;
-    pub use crate::stochastic::{FactorBackend, FactorCache, FactorCacheStats, FieldMethod};
+    pub use crate::stochastic::{FactorCache, FactorCacheStats, FieldMethod};
     pub use crate::waveform::{
         synthesize_all_stations, synthesize_station, GnssWaveform, WaveformConfig,
     };

@@ -15,9 +15,7 @@ use std::sync::Arc;
 use crate::error::{FqError, FqResult};
 use crate::geometry::{moment_from_mw, mw_from_moment, FaultModel, ScalingLaw};
 use crate::linalg::Matrix;
-use crate::stochastic::{
-    standard_normal, CorrelatedField, FactorBackend, FactorCache, FieldMethod,
-};
+use crate::stochastic::{standard_normal, CorrelatedField, FactorCache, FieldMethod};
 use crate::vonkarman::VonKarman;
 
 /// How target magnitudes are drawn from `mw_range`.
@@ -199,31 +197,14 @@ impl<'a> RuptureGenerator<'a> {
         config: RuptureConfig,
         cache: &FactorCache,
     ) -> FqResult<Self> {
-        Self::build(
-            fault,
-            subfault_distances,
-            config,
-            Some(cache as &dyn FactorBackend),
-        )
-    }
-
-    /// Like [`RuptureGenerator::new_cached`], but over any
-    /// [`FactorBackend`] — the seam the service layer's shared
-    /// content-addressed artifact store plugs into.
-    pub fn new_with_backend(
-        fault: &'a FaultModel,
-        subfault_distances: &Matrix,
-        config: RuptureConfig,
-        backend: &dyn FactorBackend,
-    ) -> FqResult<Self> {
-        Self::build(fault, subfault_distances, config, Some(backend))
+        Self::build(fault, subfault_distances, config, Some(cache))
     }
 
     fn build(
         fault: &'a FaultModel,
         subfault_distances: &Matrix,
         config: RuptureConfig,
-        cache: Option<&dyn FactorBackend>,
+        cache: Option<&FactorCache>,
     ) -> FqResult<Self> {
         config.validate()?;
         if subfault_distances.rows() != fault.len() {
@@ -242,7 +223,7 @@ impl<'a> RuptureGenerator<'a> {
             config.hurst,
         );
         let field = match cache {
-            Some(c) => c.fetch(fault.name(), subfault_distances, &kernel, config.method)?,
+            Some(c) => c.get_or_build(fault.name(), subfault_distances, &kernel, config.method)?,
             None => Arc::new(CorrelatedField::from_distances(
                 subfault_distances,
                 &kernel,
@@ -616,13 +597,9 @@ mod tests {
             RuptureConfig::default(), // back to the first (now evicted) key
         ];
         for cfg in configs {
-            let cached = RuptureGenerator::new_with_backend(
-                &fault,
-                &d.subfault_to_subfault,
-                cfg.clone(),
-                &cache,
-            )
-            .unwrap();
+            let cached =
+                RuptureGenerator::new_cached(&fault, &d.subfault_to_subfault, cfg.clone(), &cache)
+                    .unwrap();
             let fresh = RuptureGenerator::new(&fault, &d.subfault_to_subfault, cfg).unwrap();
             for id in 0..3 {
                 let a = cached.generate(21, id);

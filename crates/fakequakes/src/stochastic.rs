@@ -271,23 +271,6 @@ pub struct FactorCacheStats {
     pub bytes: usize,
 }
 
-/// Source of factored correlated fields — the seam between science code
-/// that *needs* a factor and whatever supplies it (a process-local
-/// [`FactorCache`], the service layer's shared content-addressed store, a
-/// test stub). Implementations must be deterministic: the returned field
-/// must be bit-identical to
-/// [`CorrelatedField::from_distances`] on the same inputs.
-pub trait FactorBackend: Sync {
-    /// Fetch (or compute) the factored field for this mesh/kernel/method.
-    fn fetch(
-        &self,
-        mesh_id: &str,
-        distances: &Matrix,
-        kernel: &VonKarman,
-        method: FieldMethod,
-    ) -> FqResult<Arc<CorrelatedField>>;
-}
-
 /// One cached factor plus its LRU bookkeeping.
 #[derive(Debug)]
 struct CacheEntry {
@@ -460,18 +443,6 @@ impl FactorCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-impl FactorBackend for FactorCache {
-    fn fetch(
-        &self,
-        mesh_id: &str,
-        distances: &Matrix,
-        kernel: &VonKarman,
-        method: FieldMethod,
-    ) -> FqResult<Arc<CorrelatedField>> {
-        self.get_or_build(mesh_id, distances, kernel, method)
     }
 }
 

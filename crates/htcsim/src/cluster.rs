@@ -21,7 +21,7 @@ use crate::federation::{Checkpoint, Federation, FederationConfig, FederationStat
 use crate::job::{JobEvent, JobEventKind, JobId, JobSpec, JobState, OwnerId, SubmitRequest};
 use crate::pool::{MachineId, Pool, PoolConfig};
 use crate::rand_util::exponential;
-use crate::scoreboard::{DefenseConfig, DefenseStats, Scoreboard};
+use crate::scoreboard::{DefenseConfig, DefenseStats, Scoreboard, CHECKSUM_REQUEUE_S};
 use crate::time::SimTime;
 use crate::transfer::{StashCache, TransferConfig};
 use crate::userlog::UserLog;
@@ -65,7 +65,7 @@ pub struct ClusterConfig {
     pub max_evictions_per_job: u32,
     /// Injected fault mix (all-zero by default: a well-behaved pool).
     pub faults: FaultConfig,
-    /// Self-healing defense knobs (all off by default).
+    /// Self-healing defense switches (both off by default).
     pub defense: DefenseConfig,
     /// Federated multi-pool layer (disabled by default: one flat pool).
     pub federation: FederationConfig,
@@ -561,7 +561,7 @@ impl Cluster {
         // Checksum holds are a defense-internal re-queue (release, then
         // re-fetch from origin), far shorter than an operator-scale hold.
         let wait = if reason == HoldReason::ChecksumMismatch {
-            (self.config.defense.checksum_requeue_s as u64).max(1)
+            CHECKSUM_REQUEUE_S
         } else {
             (self.config.faults.hold_release_s as u64).max(1)
         };
@@ -1141,7 +1141,7 @@ impl Cluster {
 
     /// Evict every non-terminal job assigned to a departed machine.
     fn evict_machine_jobs(&mut self, mid: MachineId) {
-        let victims: Vec<(JobId, OwnerId)> = self
+        let mut victims: Vec<(JobId, OwnerId)> = self
             .jobs
             .iter()
             .filter(|(_, j)| {
@@ -1155,6 +1155,7 @@ impl Cluster {
             })
             .map(|(id, j)| (*id, j.owner))
             .collect();
+        victims.sort();
         let limit = self.config.max_evictions_per_job;
         for (id, owner) in victims {
             if self.origin_users.remove(&id) {
@@ -2311,7 +2312,6 @@ mod tests {
                 checkpoint_interval_s: 30.0,
                 burst_idle_threshold: 0,
                 cloud_spinup_s: 60.0,
-                ..Default::default()
             },
             ..stable_config(faults)
         }

@@ -53,6 +53,13 @@ pub struct PoolSpec {
     pub slot_share: f64,
 }
 
+/// Consecutive pool-level failures that open a pool's breaker.
+pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
+
+/// Seconds an open breaker waits before letting one probe match through
+/// (half-open).
+pub const BREAKER_PROBE_S: f64 = 600.0;
+
 /// Knobs for the federated layer. Defaults to *disabled* so a default
 /// cluster behaves exactly as the single-pool simulator always has.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,12 +74,6 @@ pub struct FederationConfig {
     pub failover_enabled: bool,
     /// Idle jobs required before the cloud pool is asked to spin up.
     pub burst_idle_threshold: usize,
-    /// Consecutive pool-level failures that open a pool's breaker
-    /// (0 disables the breaker even when failover is on).
-    pub breaker_failure_threshold: u32,
-    /// Seconds an open breaker waits before letting one probe match
-    /// through (half-open).
-    pub breaker_probe_s: f64,
     /// Master switch for checkpoint/restart of preempted jobs.
     pub checkpoint_enabled: bool,
     /// Work-seconds between checkpoint records (per-rupture-batch
@@ -88,8 +89,6 @@ impl Default for FederationConfig {
             enabled: false,
             failover_enabled: false,
             burst_idle_threshold: 4,
-            breaker_failure_threshold: 3,
-            breaker_probe_s: 600.0,
             checkpoint_enabled: false,
             checkpoint_interval_s: 120.0,
             cloud_spinup_s: 300.0,
@@ -102,9 +101,6 @@ impl FederationConfig {
     pub fn validate(&self) -> Result<(), String> {
         if !self.enabled {
             return Ok(());
-        }
-        if self.breaker_probe_s <= 0.0 {
-            return Err("breaker_probe_s must be positive".into());
         }
         if self.checkpoint_enabled && self.checkpoint_interval_s <= 0.0 {
             return Err("checkpoint_interval_s must be positive".into());
@@ -360,16 +356,14 @@ impl Federation {
     /// mode acts on breaker state, but failures are tracked regardless
     /// so both ablation arms observe the same inputs.
     pub fn record_failure(&mut self, pool: u32, now_s: f64) {
-        let threshold = self.cfg.breaker_failure_threshold;
         let p = &mut self.pools[pool as usize];
         p.consecutive_failures += 1;
-        let tripped = threshold > 0
-            && p.consecutive_failures >= threshold
+        let tripped = p.consecutive_failures >= BREAKER_FAILURE_THRESHOLD
             && !matches!(p.breaker, Breaker::Open { .. });
         let relapse = p.breaker == Breaker::HalfOpen;
         if tripped || relapse {
             p.breaker = Breaker::Open {
-                until: now_s + self.cfg.breaker_probe_s,
+                until: now_s + BREAKER_PROBE_S,
             };
             self.stats.breaker_opens += 1;
         }
@@ -498,38 +492,37 @@ mod tests {
     fn breaker_opens_probes_and_closes() {
         let mut f = fed(FederationConfig {
             failover_enabled: true,
-            breaker_failure_threshold: 2,
-            breaker_probe_s: 100.0,
             ..Default::default()
         });
         f.record_failure(1, 10.0);
+        f.record_failure(1, 15.0);
         assert_eq!(f.stats().breaker_opens, 0, "below threshold");
         f.record_failure(1, 20.0);
         assert_eq!(f.stats().breaker_opens, 1);
-        assert!(!f.gate(50.0, 0)[1], "open breaker blocks matches");
+        assert!(!f.gate(500.0, 0)[1], "open breaker blocks matches");
         // Past the probe time: half-open admits one probe window.
-        assert!(f.gate(130.0, 0)[1]);
+        assert!(f.gate(630.0, 0)[1]);
         assert_eq!(f.stats().breaker_probes, 1);
         // Success closes it; failure would re-open.
         f.record_success(1);
         assert_eq!(f.stats().breaker_closes, 1);
-        assert!(f.gate(140.0, 0)[1]);
+        assert!(f.gate(640.0, 0)[1]);
     }
 
     #[test]
     fn half_open_relapse_reopens() {
         let mut f = fed(FederationConfig {
             failover_enabled: true,
-            breaker_failure_threshold: 1,
-            breaker_probe_s: 100.0,
             ..Default::default()
         });
-        f.record_failure(0, 0.0);
+        for t in [0.0, 1.0, 2.0] {
+            f.record_failure(0, t);
+        }
         assert_eq!(f.stats().breaker_opens, 1);
-        assert!(f.gate(200.0, 0)[0], "probe admitted");
-        f.record_failure(0, 210.0);
+        assert!(f.gate(700.0, 0)[0], "probe admitted");
+        f.record_failure(0, 710.0);
         assert_eq!(f.stats().breaker_opens, 2, "relapse re-opens");
-        assert!(!f.gate(250.0, 0)[0]);
+        assert!(!f.gate(750.0, 0)[0]);
     }
 
     #[test]
@@ -555,9 +548,6 @@ mod tests {
             ..Default::default()
         };
         cfg.validate().unwrap();
-        cfg.breaker_probe_s = 0.0;
-        assert!(cfg.validate().is_err());
-        cfg.breaker_probe_s = 60.0;
         cfg.checkpoint_enabled = true;
         cfg.checkpoint_interval_s = 0.0;
         assert!(cfg.validate().is_err());

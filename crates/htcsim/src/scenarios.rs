@@ -208,7 +208,6 @@ pub fn defended_run(shards: usize, obs: Obs) -> RunReport {
         defense: DefenseConfig {
             scoreboard_enabled: true,
             checksum_enabled: true,
-            ..Default::default()
         },
         shards,
         ..ClusterConfig::with_cache()
@@ -243,7 +242,6 @@ pub fn failover_run(shards: usize, obs: Obs) -> RunReport {
             checkpoint_interval_s: 30.0,
             burst_idle_threshold: 0,
             cloud_spinup_s: 60.0,
-            ..Default::default()
         },
         faults: FaultConfig {
             seed: 7,
@@ -304,7 +302,6 @@ pub fn sharded_run(shards: usize, obs: Obs) -> RunReport {
             checkpoint_interval_s: 30.0,
             burst_idle_threshold: 0,
             cloud_spinup_s: 30.0,
-            ..Default::default()
         },
         faults: FaultConfig {
             seed: 5,

@@ -24,81 +24,43 @@ use std::collections::BTreeMap;
 use crate::fault::FaultPlan;
 use crate::pool::MachineId;
 
-/// Knobs for the pool-side defenses. Everything defaults to *off* so a
+/// EWMA smoothing factor in `(0, 1]`; higher weights recent outcomes
+/// more.
+pub const EWMA_ALPHA: f64 = 0.4;
+
+/// An execution failure at or under this many seconds counts as a
+/// *fast* failure (the black-hole signature).
+pub const FAST_FAIL_S: f64 = 60.0;
+
+/// Machines with a fast-failure EWMA at or above this are matched only
+/// when no cleaner machine fits.
+pub const DEPRIORITIZE_THRESHOLD: f64 = 0.5;
+
+/// Consecutive fast failures that trigger a blacklist.
+pub const BLACKLIST_AFTER: u32 = 2;
+
+/// Seconds a blacklisted machine sits out before parole.
+pub const PAROLE_S: f64 = 1800.0;
+
+/// Seconds a checksum-held job waits before automatic release (a
+/// re-fetch retry, much shorter than an operator-scale hold).
+pub const CHECKSUM_REQUEUE_S: u64 = 30;
+
+/// Switches for the pool-side defenses. Both default to *off* so a
 /// default cluster behaves exactly as before this layer existed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DefenseConfig {
     /// Master switch for the reliability scoreboard (deprioritization +
     /// blacklist/parole).
     pub scoreboard_enabled: bool,
-    /// EWMA smoothing factor in `(0, 1]`; higher weights recent outcomes
-    /// more.
-    pub ewma_alpha: f64,
-    /// An execution failure at or under this many seconds counts as a
-    /// *fast* failure (the black-hole signature).
-    pub fast_fail_s: f64,
-    /// Machines with a fast-failure EWMA at or above this are matched
-    /// only when no cleaner machine fits.
-    pub deprioritize_threshold: f64,
-    /// Consecutive fast failures that trigger a blacklist (0 disables
-    /// blacklisting even when the scoreboard is on).
-    pub blacklist_after: u32,
-    /// Seconds a blacklisted machine sits out before parole.
-    pub parole_s: f64,
     /// Master switch for verify-on-read transfer checksums.
     pub checksum_enabled: bool,
-    /// Seconds a checksum-held job waits before automatic release (a
-    /// re-fetch retry, much shorter than an operator-scale hold).
-    pub checksum_requeue_s: f64,
-}
-
-impl Default for DefenseConfig {
-    fn default() -> Self {
-        DefenseConfig {
-            scoreboard_enabled: false,
-            ewma_alpha: 0.4,
-            fast_fail_s: 60.0,
-            deprioritize_threshold: 0.5,
-            blacklist_after: 2,
-            parole_s: 1800.0,
-            checksum_enabled: false,
-            checksum_requeue_s: 30.0,
-        }
-    }
 }
 
 impl DefenseConfig {
     /// True when any defense is switched on.
     pub fn any_enabled(&self) -> bool {
         self.scoreboard_enabled || self.checksum_enabled
-    }
-
-    /// Validate parameter sanity.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.scoreboard_enabled {
-            if !(0.0 < self.ewma_alpha && self.ewma_alpha <= 1.0) {
-                return Err(format!(
-                    "ewma_alpha must be in (0, 1], got {}",
-                    self.ewma_alpha
-                ));
-            }
-            if !(0.0..=1.0).contains(&self.deprioritize_threshold) {
-                return Err(format!(
-                    "deprioritize_threshold must be in [0, 1], got {}",
-                    self.deprioritize_threshold
-                ));
-            }
-            if self.fast_fail_s < 0.0 {
-                return Err("fast_fail_s must be non-negative".into());
-            }
-            if self.blacklist_after > 0 && self.parole_s <= 0.0 {
-                return Err("parole_s must be positive when blacklisting is on".into());
-            }
-        }
-        if self.checksum_enabled && self.checksum_requeue_s <= 0.0 {
-            return Err("checksum_requeue_s must be positive".into());
-        }
-        Ok(())
     }
 }
 
@@ -195,10 +157,10 @@ impl Scoreboard {
         if !self.cfg.scoreboard_enabled {
             return;
         }
-        let fast_fail = failed && exec_secs <= self.cfg.fast_fail_s;
-        let alpha = self.cfg.ewma_alpha;
+        let fast_fail = failed && exec_secs <= FAST_FAIL_S;
         let entry = self.scores.entry(machine.0).or_default();
-        entry.ewma = alpha * if fast_fail { 1.0 } else { 0.0 } + (1.0 - alpha) * entry.ewma;
+        entry.ewma =
+            EWMA_ALPHA * if fast_fail { 1.0 } else { 0.0 } + (1.0 - EWMA_ALPHA) * entry.ewma;
         if fast_fail {
             entry.consecutive_fast += 1;
         } else {
@@ -209,12 +171,11 @@ impl Scoreboard {
             }
         }
         let relapse = fast_fail && entry.trust == Trust::Parole;
-        let threshold_hit = self.cfg.blacklist_after > 0
-            && entry.consecutive_fast >= self.cfg.blacklist_after
+        let threshold_hit = entry.consecutive_fast >= BLACKLIST_AFTER
             && !matches!(entry.trust, Trust::Blacklisted { .. });
         if relapse || threshold_hit {
             entry.trust = Trust::Blacklisted {
-                until: now_s + self.cfg.parole_s,
+                until: now_s + PAROLE_S,
             };
             self.stats.blacklists += 1;
         }
@@ -222,8 +183,8 @@ impl Scoreboard {
 
     /// True when the machine is deprioritized: matched only after every
     /// machine in good standing.
-    fn suspect(&self, score: &MachineScore) -> bool {
-        score.trust == Trust::Parole || score.ewma >= self.cfg.deprioritize_threshold
+    fn suspect(score: &MachineScore) -> bool {
+        score.trust == Trust::Parole || score.ewma >= DEPRIORITIZE_THRESHOLD
     }
 
     /// Filter and order candidate machines for one negotiation cycle.
@@ -255,8 +216,7 @@ impl Scoreboard {
                         score.trust = Trust::Parole;
                         self.stats.paroles += 1;
                     }
-                    let score = *score;
-                    if self.suspect(&score) {
+                    if Self::suspect(score) {
                         suspect.push(entry);
                     } else {
                         good.push(entry);
@@ -375,13 +335,12 @@ mod tests {
 
     #[test]
     fn ewma_deprioritizes_without_blacklisting() {
-        let cfg = DefenseConfig {
-            blacklist_after: 0, // blacklisting off, deprioritization on
-            ..on()
-        };
-        let mut sb = Scoreboard::new(cfg);
+        // A success between the two fast failures resets the consecutive
+        // count, so only the EWMA (0.4, 0.24, then 0.544) can act.
+        let mut sb = Scoreboard::new(on());
         sb.record_exec(MachineId(9), 0.0, 5.0, true);
-        sb.record_exec(MachineId(9), 1.0, 5.0, true);
+        sb.record_exec(MachineId(9), 1.0, 300.0, false);
+        sb.record_exec(MachineId(9), 2.0, 5.0, true);
         assert_eq!(sb.stats().blacklists, 0);
         let (admitted, split) = sb.admit(10.0, slots(&[9, 4]), |e| e.0);
         assert_eq!(ids(&admitted), vec![4, 9], "offender sorts to the back");
@@ -435,23 +394,5 @@ mod tests {
         assert!(sb.black_hole_kills(&plan, MachineId(7)));
         let clean = FaultPlan::new(FaultConfig::default());
         assert!(!sb.black_hole_kills(&clean, MachineId(7)));
-    }
-
-    #[test]
-    fn validate_rejects_bad_knobs() {
-        DefenseConfig::default().validate().unwrap();
-        let mut cfg = on();
-        cfg.validate().unwrap();
-        cfg.ewma_alpha = 0.0;
-        assert!(cfg.validate().is_err());
-        cfg.ewma_alpha = 0.4;
-        cfg.parole_s = 0.0;
-        assert!(cfg.validate().is_err());
-        let bad_ck = DefenseConfig {
-            checksum_enabled: true,
-            checksum_requeue_s: 0.0,
-            ..Default::default()
-        };
-        assert!(bad_ck.validate().is_err());
     }
 }

@@ -87,26 +87,34 @@ cargo run -q -p fdw-bench --release --bin validate_trace -- --min-cats 4 \
   "$OBS_DIR"/chaos_matrix.dag.metrics \
   "$OBS_DIR"/table_headline.metrics.json
 
-echo "==> defense ablation smoke (defenses-on badput must not exceed defenses-off)"
-FDW_SMOKE=1 FDW_BENCH_OUT=target/BENCH_defenses.smoke.json \
-  cargo run -q -p fdw-bench --release --bin defense_ablation >/dev/null
+# The three ablations run at full scale (seconds each) and must
+# reproduce their committed BENCH file in everything but git_rev, so a
+# change that moves a committed figure has to re-record that file. Each
+# binary also exits 1 itself when one of its own gates fails.
+bench_reproduces() { # <bin> <committed BENCH file>
+  FDW_BENCH_OUT="target/$2" cargo run -q -p fdw-bench --release --bin "$1" >/dev/null
+  local mask='s/"git_rev": *"[^"]*"/"git_rev": ""/'
+  diff <(sed "$mask" "$2") <(sed "$mask" "target/$2") || {
+    echo "$1: target/$2 differs from the committed $2 beyond git_rev"; exit 1; }
+}
 
-echo "==> failover ablation smoke (failover-on must not lose time-to-done or badput)"
-FDW_SMOKE=1 FDW_BENCH_OUT=target/BENCH_failover.smoke.json \
-  cargo run -q -p fdw-bench --release --bin failover_ablation >/dev/null
+echo "==> defense ablation (defenses-on badput must not exceed defenses-off; reproduces BENCH_defenses.json)"
+bench_reproduces defense_ablation BENCH_defenses.json
 
-echo "==> service overload smoke (defended goodput >= undefended, science store-invariant)"
+echo "==> failover ablation (failover-on must not lose time-to-done or badput; reproduces BENCH_failover.json)"
+bench_reproduces failover_ablation BENCH_failover.json
+
+echo "==> service overload (defended goodput >= undefended, science store-invariant; reproduces BENCH_service.json)"
 # The binary exits 1 itself on any goodput loss, digest drift, dropped
 # request or determinism break; re-check the two headline gates from the
 # JSON so a silent gate regression in the binary can't pass CI.
-FDW_SMOKE=1 FDW_BENCH_OUT=target/BENCH_service.smoke.json \
-  cargo run -q -p fdw-bench --release --bin overload_ablation >/dev/null
-grep -q '"science_store_invariant":false' target/BENCH_service.smoke.json && {
-  echo "service smoke: science digest drifted across store arms"; exit 1; }
-grep -q '"deterministic":false' target/BENCH_service.smoke.json && {
-  echo "service smoke: service decisions vary across threads/shards"; exit 1; }
-if grep -o '"unaccounted":[0-9]*' target/BENCH_service.smoke.json | grep -qv ':0$'; then
-  echo "service smoke: requests dropped without a terminal disposition"; exit 1
+bench_reproduces overload_ablation BENCH_service.json
+grep -q '"science_store_invariant":false' target/BENCH_service.json && {
+  echo "service overload: science digest drifted across store arms"; exit 1; }
+grep -q '"deterministic":false' target/BENCH_service.json && {
+  echo "service overload: service decisions vary across threads/shards"; exit 1; }
+if grep -o '"unaccounted":[0-9]*' target/BENCH_service.json | grep -qv ':0$'; then
+  echo "service overload: requests dropped without a terminal disposition"; exit 1
 fi
 
 echo "==> des-scaling smoke (sharded engine: identical digests, no slowdown)"

@@ -230,3 +230,23 @@ fn different_seeds_give_different_worlds() {
     let b = run_fdw(&cfg, cluster(), 2).unwrap().report.makespan;
     assert_ne!(a, b);
 }
+
+#[test]
+fn glidein_churn_replay_is_byte_identical() {
+    // Short-lived glideins depart mid-job and evict what they run. The
+    // evicted jobs re-enter the idle queue in a fixed order, so two
+    // same-seed runs must write byte-identical user logs.
+    use fdw_suite::htcsim::condor_log::to_condor_log;
+    let cfg = FdwConfig::parse("station_input = small\nn_waveforms = 400\n").unwrap();
+    let mut churny = cluster();
+    churny.pool.glidein_lifetime_s = 600.0;
+    let run = || {
+        let out = run_fdw(&cfg, churny.clone(), 11).unwrap();
+        (out.report.evictions, to_condor_log(&out.report.log))
+    };
+    let (evictions_a, log_a) = run();
+    let (evictions_b, log_b) = run();
+    assert!(evictions_a > 0, "the pool must evict for this test to bite");
+    assert_eq!(evictions_a, evictions_b, "evictions");
+    assert!(log_a == log_b, "ULOG bytes differ between same-seed runs");
+}
