@@ -100,12 +100,12 @@ impl Matrix {
 
     /// Build from a row-major vector; `data.len()` must equal `rows*cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> FqResult<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(FqError::Linalg(format!(
                 "shape mismatch: {}x{} needs {} elements, got {}",
                 rows,
                 cols,
-                rows * cols,
+                rows as u128 * cols as u128,
                 data.len()
             )));
         }
@@ -985,6 +985,14 @@ mod tests {
     fn from_vec_checks_shape() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
+    }
+
+    #[test]
+    fn from_vec_rejects_overflowing_shape() {
+        // 2^62 x 4 wraps to 0 elements in usize arithmetic.
+        let err = Matrix::from_vec(1 << 62, 4, vec![]).unwrap_err();
+        assert!(matches!(err, FqError::Linalg(_)), "{err}");
+        assert!(err.to_string().contains("18446744073709551616"), "{err}");
     }
 
     #[test]

@@ -64,7 +64,10 @@ pub fn from_npy_bytes(bytes: &[u8]) -> FqResult<Matrix> {
     let shape = parse_shape(header)?;
     let (rows, cols) = shape;
     let data_start = 10 + hlen;
-    let need = rows * cols * 8;
+    let need = rows
+        .checked_mul(cols)
+        .and_then(|n| n.checked_mul(8))
+        .ok_or_else(|| FqError::Format(format!("NPY shape ({rows}, {cols}) overflows usize")))?;
     let data = &bytes[data_start..];
     if data.len() < need {
         return Err(FqError::Format(format!(
@@ -72,7 +75,7 @@ pub fn from_npy_bytes(bytes: &[u8]) -> FqResult<Matrix> {
             data.len()
         )));
     }
-    let mut values = Vec::with_capacity(rows * cols);
+    let mut values = Vec::with_capacity(need / 8);
     for chunk in data[..need].chunks_exact(8) {
         values.push(f64::from_le_bytes(chunk.try_into().unwrap()));
     }
@@ -165,6 +168,21 @@ mod tests {
         let m = Matrix::from_fn(4, 4, |i, j| (i + j) as f64);
         let bytes = to_npy_bytes(&m);
         assert!(from_npy_bytes(&bytes[..bytes.len() - 8]).is_err());
+    }
+
+    #[test]
+    fn rejects_overflowing_shape() {
+        for shape in ["(4611686018427387904, 4)", "(2305843009213693952, 1)"] {
+            let header =
+                format!("{{'descr': '<f8', 'fortran_order': False, 'shape': {shape}, }}\n");
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&[1, 0]);
+            bytes.extend_from_slice(&(header.len() as u16).to_le_bytes());
+            bytes.extend_from_slice(header.as_bytes());
+            let err = from_npy_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, FqError::Format(_)), "{err}");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
     }
 
     #[test]

@@ -51,6 +51,27 @@ impl StfKind {
         }
     }
 
+    /// The lag after onset from which [`Self::cumulative`] returns exactly
+    /// `1.0`: every lag `t > 0` with `t ≥ settled_after(rise_s)` gives
+    /// `1.0` (for Dreger, while `t / τ` stays finite). Waveform synthesis
+    /// adds the settled tail as a constant instead of evaluating the STF
+    /// there.
+    ///
+    /// Cosine and Triangle finish at the rise time. Dreger's
+    /// `1 − e^{-x}(1 + x)` (x = t/τ, τ = rise/3) rounds to exactly 1.0
+    /// once `e^{-x}(1 + x)` falls to 2⁻⁵⁴, half the spacing of doubles
+    /// below 1.0, which happens at x ≈ 41.17; 44 τ leaves a margin for
+    /// rounding in `x` and `exp`. A NaN rise time never settles.
+    pub fn settled_after(self, rise_s: f64) -> f64 {
+        if rise_s.is_nan() {
+            return f64::INFINITY;
+        }
+        match self {
+            StfKind::Dreger => 44.0 * (rise_s / 3.0),
+            StfKind::Cosine | StfKind::Triangle => rise_s,
+        }
+    }
+
     /// Instantaneous slip rate (derivative of [`Self::cumulative`]) —
     /// useful for velocity waveforms and tests.
     pub fn rate(self, t: f64, rise_s: f64) -> f64 {
@@ -174,6 +195,48 @@ mod tests {
         }
         assert_eq!(StfKind::parse("DREGER"), Some(StfKind::Dreger));
         assert_eq!(StfKind::parse("boxcar"), None);
+    }
+
+    #[test]
+    fn cumulative_is_exactly_one_from_settled_after_on() {
+        // Rise times over the rupture generator's [1, 30] s clamp; lags
+        // as a 1-Hz record samples them (`k - t0` for onsets t0 with
+        // eight fractional parts) out to 2,000 s, plus the bound itself.
+        for k in KINDS {
+            for r in 0..=580 {
+                let rise = 1.0 + r as f64 * 0.05;
+                let settled = k.settled_after(rise);
+                assert_eq!(
+                    k.cumulative(settled, rise),
+                    1.0,
+                    "{} rise {rise}",
+                    k.label()
+                );
+                for j in 0..8 {
+                    let t0 = j as f64 * 0.1371;
+                    for s in 0..=2000 {
+                        let t = s as f64 - t0;
+                        if t >= settled && k.cumulative(t, rise) != 1.0 {
+                            panic!("{} rise {rise} t {t}", k.label());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn settled_after_bounds_are_tight_and_nan_never_settles() {
+        for k in KINDS {
+            assert_eq!(k.settled_after(f64::NAN), f64::INFINITY, "{}", k.label());
+        }
+        for rise in [1.0, 7.5, 30.0] {
+            let below = 0.999 * StfKind::Cosine.settled_after(rise);
+            assert!(StfKind::Cosine.cumulative(below, rise) < 1.0);
+            assert!(StfKind::Triangle.cumulative(below, rise) < 1.0);
+            // Dreger is still short of 1.0 at 40 τ, inside the 44 τ bound.
+            assert!(StfKind::Dreger.cumulative(40.0 * rise / 3.0, rise) < 1.0);
+        }
     }
 
     #[test]

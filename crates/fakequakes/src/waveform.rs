@@ -171,7 +171,16 @@ pub fn synthesize_station(
         while k_start < n && k_start as f64 * config.dt_s <= t0 {
             k_start += 1;
         }
-        for k in k_start..n {
+        // Split the loop at the first sample whose lag (computed exactly
+        // as the STF sees it) reaches `settled_after`: from there on the
+        // STF is exactly 1.0, so `slip * f == slip` and the rest of the
+        // record gains the constant `resp * slip`. Every sample still
+        // sums its subfaults in index order, so no output bit changes.
+        let settled = config.stf.settled_after(rise);
+        let k_settled = (k_start..n)
+            .find(|&k| k as f64 * config.dt_s - t0 >= settled)
+            .unwrap_or(n);
+        for k in k_start..k_settled {
             let t = k as f64 * config.dt_s;
             let f = config.stf.cumulative(t - t0, rise);
             if f <= 0.0 {
@@ -181,6 +190,12 @@ pub fn synthesize_station(
             east[k] += resp.e * s;
             north[k] += resp.n * s;
             up[k] += resp.u * s;
+        }
+        for (series, r) in [(&mut east, resp.e), (&mut north, resp.n), (&mut up, resp.u)] {
+            let c = r * slip;
+            for v in &mut series[k_settled..] {
+                *v += c;
+            }
         }
     }
 

@@ -18,6 +18,19 @@ use fakequakes::vonkarman::{von_karman_kernel, VonKarman};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The bit-at-a-time CRC-32 the table-driven `crc32` must reproduce.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
 fn finite_f64() -> impl Strategy<Value = f64> {
     // Payload values that survive exact roundtrips.
     prop_oneof![
@@ -140,6 +153,19 @@ proptest! {
         let idx = (bit as usize / 8) % corrupted.len();
         corrupted[idx] ^= 1 << (bit % 8);
         prop_assert_ne!(crc32(&data), crc32(&corrupted));
+    }
+
+    #[test]
+    fn crc_matches_bitwise_oracle(
+        buf in proptest::collection::vec(any::<u8>(), 316),
+        offset in 0usize..16,
+    ) {
+        // Every length 0..=300 (each remainder mod 8, many times over)
+        // at an arbitrary, usually unaligned, start.
+        for len in 0..=300 {
+            let data = &buf[offset..offset + len];
+            prop_assert_eq!(crc32(data), crc32_bitwise(data), "len {}", len);
+        }
     }
 
     #[test]

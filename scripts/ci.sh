@@ -10,6 +10,21 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> perfbench (own tests; each declared workload reproduces golden.json)"
+# perfbench/golden.json pins the digest of each declared workload's
+# full-size science. A short untraced run must end with "correct": true:
+# every operation passed its gates and the digest equals the golden one.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench/tests -p 'test_*.py'
+for w in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 5 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*) echo "  $w: correct" ;;
+    *) echo "perfbench $w: not correct: $last"; exit 1 ;;
+  esac
+done
+
 echo "==> fdwlint v2 (token + call-graph determinism lints vs ratchet baseline)"
 # The graph pass (item parse, call resolution, taint over ~all workspace
 # sources) runs on every commit — hold it to a 30s wall-time budget so it

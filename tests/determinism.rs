@@ -180,6 +180,7 @@ fn parallel_covariance_and_distance_npy_bytes_match_sequential() {
 #[test]
 fn parallel_waveform_mseed_bytes_match_sequential() {
     use fdw_suite::fakequakes::{artifacts, mseed::MseedFile, waveform};
+    use fdw_suite::htcsim::des::{digest_fold, DIGEST_INIT};
     let fault = FaultModel::chilean_subduction(10, 5).unwrap();
     let net = StationNetwork::chilean(4, 2).unwrap();
     let dists = DistanceMatrices::compute(&fault, &net);
@@ -191,10 +192,6 @@ fn parallel_waveform_mseed_bytes_match_sequential() {
     )
     .unwrap();
     let scenario = generator.generate(3, 1);
-    let cfg = WaveformConfig {
-        duration_s: 64.0,
-        ..Default::default()
-    };
     let to_bytes = |wfs: &[GnssWaveform]| {
         let mut f = MseedFile::new();
         for w in wfs {
@@ -202,25 +199,54 @@ fn parallel_waveform_mseed_bytes_match_sequential() {
         }
         f.to_bytes().unwrap()
     };
-    let par = waveform::synthesize_all_stations(
-        &fault,
-        &gfs,
-        &dists.station_to_subfault,
-        &scenario,
-        &cfg,
-        5,
-    )
-    .unwrap();
-    let seq = waveform::synthesize_all_stations_seq(
-        &fault,
-        &gfs,
-        &dists.station_to_subfault,
-        &scenario,
-        &cfg,
-        5,
-    )
-    .unwrap();
-    assert_eq!(to_bytes(&par), to_bytes(&seq), "waveform .mseed bytes");
+    // Each STF over the default 512-s record, long enough to reach the
+    // subfaults' settled tails. The digests were recorded with the STF
+    // evaluated at every sample and a bitwise CRC-32, so the settled-tail
+    // split and the table-driven CRC must reproduce those bytes exactly.
+    for (stf, pinned) in [
+        (StfKind::Dreger, 0xadf4_67d8_86a8_1157),
+        (StfKind::Cosine, 0x5cc0_8b5f_7471_0754),
+        (StfKind::Triangle, 0xbe59_bc25_88d6_877d),
+    ] {
+        let cfg = WaveformConfig {
+            stf,
+            ..Default::default()
+        };
+        let par = waveform::synthesize_all_stations(
+            &fault,
+            &gfs,
+            &dists.station_to_subfault,
+            &scenario,
+            &cfg,
+            5,
+        )
+        .unwrap();
+        let seq = waveform::synthesize_all_stations_seq(
+            &fault,
+            &gfs,
+            &dists.station_to_subfault,
+            &scenario,
+            &cfg,
+            5,
+        )
+        .unwrap();
+        let bytes = to_bytes(&par);
+        assert_eq!(
+            bytes,
+            to_bytes(&seq),
+            "{} waveform .mseed bytes",
+            stf.label()
+        );
+        let digest = bytes
+            .chunks(8)
+            .map(|w| {
+                let mut word = [0u8; 8];
+                word[..w.len()].copy_from_slice(w);
+                u64::from_le_bytes(word)
+            })
+            .fold(digest_fold(DIGEST_INIT, bytes.len() as u64), digest_fold);
+        assert_eq!(digest, pinned, "{} waveform .mseed digest", stf.label());
+    }
 }
 
 #[test]
