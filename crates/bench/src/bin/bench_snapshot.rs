@@ -43,6 +43,7 @@ use fakequakes::stochastic::{
     assemble_covariance, assemble_covariance_reference_libm, assemble_covariance_seq, FactorCache,
 };
 use fakequakes::vonkarman::VonKarman;
+use fdw_obs::digest::{fnv1a_word, DIGEST_INIT};
 
 /// One timed baseline-vs-optimised pair.
 struct KernelRow {
@@ -105,18 +106,9 @@ fn median_ns(min_iters: usize, floor: Duration, mut f: impl FnMut()) -> (u64, us
     (samples[samples.len() / 2], samples.len())
 }
 
-/// FNV-1a fold of one word (same constants as the DES engine digests).
-fn fold(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fold_slice(mut h: u64, xs: &[f64]) -> u64 {
-    for x in xs {
-        h = fold(h, x.to_bits());
-    }
-    h
+/// One FNV-1a word step per value, over the bit patterns of `xs`.
+fn fold_slice(h: u64, xs: &[f64]) -> u64 {
+    xs.iter().fold(h, |h, x| fnv1a_word(h, x.to_bits()))
 }
 
 /// Deterministic digest over every laned kernel's output at the given
@@ -137,7 +129,7 @@ fn kernel_digest(nx: usize, nd: usize) -> u64 {
         .collect();
     let mv = cov.matvec(&v);
     let gfs = GfLibrary::compute(&fault, &net).expect("gf library");
-    let mut h = FNV_OFFSET;
+    let mut h = DIGEST_INIT;
     h = fold_slice(h, dists.subfault_to_subfault.as_slice());
     h = fold_slice(h, dists.station_to_subfault.as_slice());
     h = fold_slice(h, cov.as_slice());
@@ -146,9 +138,9 @@ fn kernel_digest(nx: usize, nd: usize) -> u64 {
     h = fold_slice(h, &mv);
     for s in gfs.stations() {
         for r in &s.responses {
-            h = fold(h, r.e.to_bits());
-            h = fold(h, r.n.to_bits());
-            h = fold(h, r.u.to_bits());
+            h = fnv1a_word(h, r.e.to_bits());
+            h = fnv1a_word(h, r.n.to_bits());
+            h = fnv1a_word(h, r.u.to_bits());
         }
     }
     h

@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 use dagman::driver::Dagman;
 use dagman::monitor::{dag_metrics, per_dagman_stats};
 use dagman::rescue::{parse_rescue, rescue_file, resume};
+use fdw_obs::digest::{fnv1a_f64, DIGEST_INIT};
 use fdw_obs::Obs;
 use htcsim::cluster::{Cluster, ClusterConfig};
 use htcsim::fault::FaultConfig;
@@ -326,17 +327,6 @@ pub fn baseline_digest(cfg: &FdwConfig) -> Result<u64, String> {
     science_digest(cfg, &all)
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Digest the live science products covered by `completed` nodes: every
 /// rupture job's slip distributions, plus a station-0 waveform sample of
 /// the first waveform job. Errors if any expected node is missing — a
@@ -351,7 +341,7 @@ pub fn science_digest(cfg: &FdwConfig, completed: &BTreeSet<String>) -> Result<u
 
     let inputs = live::build_inputs(cfg).map_err(|e| e.to_string())?;
     let matrices = live::live_matrix_phase(&inputs);
-    let mut h = FNV_OFFSET;
+    let mut h = DIGEST_INIT;
     // A-phase products: slip distributions of every rupture job.
     for i in 0..cfg.n_rupture_jobs() {
         let first = i * cfg.ruptures_per_job as u64;
@@ -359,9 +349,7 @@ pub fn science_digest(cfg: &FdwConfig, completed: &BTreeSet<String>) -> Result<u
         let scenarios = live::live_rupture_job(cfg, &inputs, &matrices, first, count)
             .map_err(|e| e.to_string())?;
         for sc in &scenarios {
-            for s in &sc.slip_m {
-                h = fnv_u64(h, s.to_bits());
-            }
+            h = fnv1a_f64(h, &sc.slip_m);
         }
     }
     // C-phase sample: station traces of the first waveform job's
@@ -374,9 +362,8 @@ pub fn science_digest(cfg: &FdwConfig, completed: &BTreeSet<String>) -> Result<u
     let wfs = live::live_waveform_job(cfg, &inputs, &matrices, &gfs, &scenarios, 32.0)
         .map_err(|e| e.to_string())?;
     for per_station in &wfs {
-        for sample in per_station[0].east_m.iter().chain(&per_station[0].north_m) {
-            h = fnv_u64(h, sample.to_bits());
-        }
+        h = fnv1a_f64(h, &per_station[0].east_m);
+        h = fnv1a_f64(h, &per_station[0].north_m);
     }
     Ok(h)
 }

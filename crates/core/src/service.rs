@@ -20,24 +20,10 @@ use fakequakes::geometry::FaultModel;
 use fakequakes::rupture::{RuptureConfig, RuptureGenerator};
 use fakequakes::stations::{ChileanInput, StationNetwork};
 use fakequakes::stochastic::{FactorCache, FieldMethod};
+use fdw_obs::digest::{digest_fold, fnv1a_f64, DIGEST_INIT};
 use fdw_service::config::ServiceConfig;
 use fdw_service::engine::{run_service, ServiceReport};
 use fdw_service::request::{Disposition, RequestOutcome, WorkloadConfig};
-use htcsim::des::{digest_fold, DIGEST_INIT};
-
-/// FNV-1a over the bit patterns of a slip field — the same digest idiom
-/// the DES differential harness uses, so "bit-identical science" means
-/// exactly that.
-fn slip_hash(xs: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Per-class mesh inputs: class `c` gets an `(8 + 2c) × 4` Chilean
 /// mesh, mirroring the byte model of
@@ -139,7 +125,7 @@ pub fn science_digest(
         for k in 0..replicas as u64 {
             let sc = generator.generate(batch_seed, k);
             digest = digest_fold(digest, req.id + 1);
-            digest = digest_fold(digest, slip_hash(&sc.slip_m));
+            digest = digest_fold(digest, fnv1a_f64(DIGEST_INIT, &sc.slip_m));
             ruptures += 1;
         }
         factorisations += cache.stats().misses - before;

@@ -36,7 +36,6 @@ pub fn osg_cluster_config() -> ClusterConfig {
             big_slot_fraction: 0.35,
             max_sim_time_s: 21 * 24 * 3600,
         },
-        transfer: Default::default(),
         cache_enabled: true,
         // OSG does not cap evictions for FDW jobs; retries are free.
         max_evictions_per_job: 0,

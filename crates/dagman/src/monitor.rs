@@ -7,10 +7,10 @@ use std::collections::{HashMap, HashSet};
 
 use htcsim::cluster::RunReport;
 use htcsim::federation::FederationStats;
-use htcsim::job::{JobEventKind, JobId, OwnerId};
+use htcsim::job::{JobEvent, JobEventKind, JobId, OwnerId};
 use htcsim::scoreboard::DefenseStats;
 use htcsim::time::SimTime;
-use htcsim::userlog::JobTimes;
+use htcsim::userlog::{JobTimes, UserLog};
 
 /// Summary statistics of one DAGMan's run.
 #[derive(Debug, Clone)]
@@ -116,12 +116,7 @@ pub fn per_dagman_stats(report: &RunReport) -> Vec<DagmanStats> {
                     }
                 }
             }
-            JobEventKind::Evicted
-            | JobEventKind::Failed
-            | JobEventKind::Held
-            | JobEventKind::Removed
-            | JobEventKind::Preempted
-            | JobEventKind::PoolOutage => {
+            kind if kind.ends_execution() => {
                 if let Some(s) = exec_start.remove(&e.job) {
                     ent.1 += e.time.since(s);
                 }
@@ -208,85 +203,31 @@ pub fn per_dagman_stats(report: &RunReport) -> Vec<DagmanStats> {
         .collect()
 }
 
+/// One owner's events re-based to that owner's first event, or `None`
+/// when the owner has none.
+fn owner_log(report: &RunReport, owner: OwnerId) -> Option<UserLog> {
+    let events = report.log.events().iter().filter(|e| e.owner == owner);
+    let start = events.clone().map(|e| e.time).min()?;
+    let mut log = UserLog::new();
+    for e in events {
+        log.record(JobEvent {
+            time: SimTime(e.time.since(start)),
+            ..*e
+        });
+    }
+    Some(log)
+}
+
 /// Per-second instant throughput (eq. 5) of one owner's jobs, measured
 /// from that owner's first submission.
 pub fn instant_throughput_for(report: &RunReport, owner: OwnerId) -> Vec<f64> {
-    let events: Vec<_> = report
-        .log
-        .events()
-        .iter()
-        .filter(|e| e.owner == owner)
-        .collect();
-    if events.is_empty() {
-        return Vec::new();
-    }
-    let start = events.iter().map(|e| e.time).min().unwrap();
-    let end = events.iter().map(|e| e.time).max().unwrap();
-    let len = end.since(start) as usize + 1;
-    let mut completions = vec![0u32; len];
-    for e in &events {
-        if e.kind == JobEventKind::Completed {
-            completions[e.time.since(start) as usize] += 1;
-        }
-    }
-    let mut out = Vec::with_capacity(len);
-    let mut done = 0u64;
-    for (s, c) in completions.iter().enumerate() {
-        done += *c as u64;
-        out.push(done as f64 / (s.max(1) as f64 / 60.0));
-    }
-    out
+    owner_log(report, owner).map_or_else(Vec::new, |log| log.instant_throughput_series())
 }
 
 /// Per-second running-job count of one owner's jobs, measured from that
 /// owner's first submission.
 pub fn running_for(report: &RunReport, owner: OwnerId) -> Vec<u32> {
-    let events: Vec<_> = report
-        .log
-        .events()
-        .iter()
-        .filter(|e| e.owner == owner)
-        .collect();
-    if events.is_empty() {
-        return Vec::new();
-    }
-    let start = events.iter().map(|e| e.time).min().unwrap();
-    let end = events.iter().map(|e| e.time).max().unwrap();
-    let len = end.since(start) as usize + 1;
-    let mut delta = vec![0i64; len + 1];
-    let mut started: HashMap<JobId, usize> = HashMap::new();
-    for e in &events {
-        let idx = e.time.since(start) as usize;
-        match e.kind {
-            JobEventKind::ExecuteStarted => {
-                started.insert(e.job, idx);
-            }
-            JobEventKind::Completed
-            | JobEventKind::Evicted
-            | JobEventKind::Failed
-            | JobEventKind::Held
-            | JobEventKind::Preempted
-            | JobEventKind::PoolOutage => {
-                if let Some(s) = started.remove(&e.job) {
-                    delta[s] += 1;
-                    delta[idx] -= 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    // fdwlint::allow(unordered-hash-iteration): commutative accumulation into a delta array — `+=` per bucket is order-insensitive
-    for (_, s) in started {
-        delta[s] += 1;
-        delta[len] -= 1;
-    }
-    let mut out = Vec::with_capacity(len);
-    let mut cur = 0i64;
-    for d in delta.iter().take(len) {
-        cur += d;
-        out.push(cur.max(0) as u32);
-    }
-    out
+    owner_log(report, owner).map_or_else(Vec::new, |log| log.running_series())
 }
 
 /// Build the `.dag.metrics` document for one DAGMan from its driver
@@ -453,6 +394,41 @@ mod tests {
         let series = running_for(&report, OwnerId(0));
         let peak = series.iter().copied().max().unwrap_or(0);
         assert!((1..=6).contains(&peak), "peak {peak}");
+    }
+
+    #[test]
+    fn removed_job_stops_counting_as_running() {
+        // Two jobs start at 10 s; one is condor_rm'd at 20 s (a
+        // speculative loser), the other completes at 100 s.
+        let mut log = UserLog::new();
+        let owner = OwnerId(0);
+        for (t, job, kind) in [
+            (0, 0, JobEventKind::Submitted),
+            (0, 1, JobEventKind::Submitted),
+            (10, 0, JobEventKind::ExecuteStarted),
+            (10, 1, JobEventKind::ExecuteStarted),
+            (20, 1, JobEventKind::Removed),
+            (100, 0, JobEventKind::Completed),
+        ] {
+            log.record(JobEvent::new(SimTime(t), JobId(job), owner, kind));
+        }
+        let report = RunReport {
+            makespan: log.makespan(),
+            log,
+            completed: 1,
+            evictions: 0,
+            holds: 0,
+            exec_failures: 0,
+            cache_hit_rate: 0.0,
+            job_names: HashMap::new(),
+            timed_out: false,
+            pool_series: Vec::new(),
+            defense: Default::default(),
+            federation: Default::default(),
+        };
+        let series = running_for(&report, owner);
+        assert_eq!((series[15], series[50]), (2, 1));
+        assert_eq!(series, report.log.running_series());
     }
 
     #[test]

@@ -41,7 +41,6 @@ fn fast_cluster(seed: u64) -> Cluster {
                 glidein_lifetime_s: 1e9,
                 ..Default::default()
             },
-            transfer: Default::default(),
             cache_enabled: true,
             max_evictions_per_job: 0,
             faults: Default::default(),

@@ -242,18 +242,22 @@ struct FactorKey {
     method: MethodKey,
 }
 
-/// FNV-1a over the raw bit patterns of a float slice — cheap (O(n²) for
-/// a distance matrix vs the O(n³) factorisation it guards) and exact:
-/// any bitwise difference in the distances produces a different key.
-fn fnv1a_f64(xs: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// Content key of a distance matrix: one FNV-1a word step per distance
+/// over its bit pattern. Cheap (O(n²), against the O(n³) factorisation
+/// it guards, and one multiply per value where the byte-wise fold needs
+/// eight) and exact where it matters: each step is a bijection of the
+/// state, so two matrices that differ in any single distance get
+/// different keys. The key never leaves the cache, so its values are
+/// not pinned anywhere.
+///
+/// This is the one FNV fold outside `fdw_obs::digest`: a normal
+/// dependency on `fdw-obs` would add a line to the benchmark package's
+/// `Cargo.lock`, which may not change with this crate.
+fn distance_key(xs: &[f64]) -> u64 {
+    // fdwlint::allow(fnv-outside-digest): depending on fdw-obs would move perfbench/Cargo.lock (see above)
+    let (basis, prime) = (0xcbf2_9ce4_8422_2325, 0x0000_0100_0000_01b3);
+    xs.iter()
+        .fold(basis, |h, x| (h ^ x.to_bits()).wrapping_mul(prime))
 }
 
 /// Hit/miss/entry counts of a [`FactorCache`], for telemetry.
@@ -353,7 +357,7 @@ impl FactorCache {
         let key = FactorKey {
             mesh: mesh_id.to_string(),
             n: distances.rows(),
-            dist_digest: fnv1a_f64(distances.as_slice()),
+            dist_digest: distance_key(distances.as_slice()),
             kernel_bits: [
                 kernel.a_strike_km.to_bits(),
                 kernel.a_dip_km.to_bits(),
@@ -676,6 +680,26 @@ mod tests {
             )
             .unwrap();
         assert_eq!(cache.stats().entries, 3);
+        // Different distances under the same mesh name and size → each
+        // a miss with its own entry: the 8×4 and 4×8 meshes (n = 32),
+        // then the first matrix with one distance moved by one ulp.
+        let mesh_dists = |nx, nd| {
+            let fault = FaultModel::chilean_subduction(nx, nd).unwrap();
+            DistanceMatrices::compute(&fault, &net).subfault_to_subfault
+        };
+        let (wide, deep) = (mesh_dists(8, 4), mesh_dists(4, 8));
+        assert_eq!((wide.rows(), deep.rows()), (32, 32));
+        let mut nudged = d.subfault_to_subfault.clone();
+        let next_up = f64::from_bits(nudged[(0, 1)].to_bits() + 1);
+        nudged[(0, 1)] = next_up;
+        nudged[(1, 0)] = next_up;
+        for (i, m) in [wide, deep, nudged].iter().enumerate() {
+            cache
+                .get_or_build("mesh-a", m, &vk, FieldMethod::Cholesky)
+                .unwrap();
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.entries), (1, 4 + i as u64, 4 + i));
+        }
         cache.clear();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));

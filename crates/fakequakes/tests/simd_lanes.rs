@@ -19,6 +19,7 @@ use fakequakes::simd;
 use fakequakes::stations::{ChileanInput, StationNetwork};
 use fakequakes::stochastic::{assemble_covariance, assemble_covariance_seq};
 use fakequakes::vonkarman::{bessel_k_fractional, bessel_k_fractional_x4, VonKarman};
+use fdw_obs::digest::{fnv1a_word, DIGEST_INIT};
 use proptest::prelude::*;
 
 fn pattern_vec(len: usize, salt: usize) -> Vec<f64> {
@@ -167,20 +168,17 @@ fn kernel_digest() -> u64 {
     let a = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 11) as f64 * 0.1 - 0.5);
     let prod = a.matmul(&cov).unwrap();
     let mv = cov.matvec(&pattern_vec(n, 2));
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for xs in [
+    [
         d.subfault_to_subfault.as_slice(),
         d.station_to_subfault.as_slice(),
         cov.as_slice(),
         chol.as_slice(),
         prod.as_slice(),
         &mv,
-    ] {
-        for x in xs {
-            h = (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    ]
+    .into_iter()
+    .flatten()
+    .fold(DIGEST_INIT, |h, x| fnv1a_word(h, x.to_bits()))
 }
 
 /// The full kernel chain folds the same digest under FDW_THREADS 1, 2

@@ -10,7 +10,7 @@
 
 use crate::lexer::mask;
 
-/// Rule identifiers, in report order. The first six are per-file token
+/// Rule identifiers, in report order. The first seven are per-file token
 /// rules; the last four run on the workspace call graph
 /// ([`crate::graph`]/[`crate::taint`], DESIGN.md §14).
 pub const RULES: &[RuleInfo] = &[
@@ -55,6 +55,15 @@ pub const RULES: &[RuleInfo] = &[
                       (DESIGN.md §13); a bare iterator sum is both slower and a second, \
                       unblessed summation order",
         example: "let total = samples.iter().sum::<f64>(); // use simd::lane_sum",
+    },
+    RuleInfo {
+        name: "fnv-outside-digest",
+        description: "the FNV-1a offset basis or prime (any case, any `_` grouping, leading \
+                      zeros ignored) in non-test code outside fdw_obs::digest: every digest \
+                      folds through the one module, so a pinned value is reproducible from it \
+                      alone and a private copy cannot drift (the fakequakes factor-cache key \
+                      fold, which cannot depend on fdw-obs, carries an inline allow)",
+        example: "let mut h = 0xcbf2_9ce4_…u64; // the offset basis: use fdw_obs::digest",
     },
     RuleInfo {
         name: "nondet-flow-to-sink",
@@ -126,6 +135,11 @@ pub const PARALLELISM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/par.rs"];
 /// *defines* `lane_sum` may of course spell out scalar sums (its reference
 /// twins and doc text) — the scope exemption of `naive-float-accum`.
 pub const LANE_SUM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/simd.rs"];
+
+/// The home of the FNV-1a constants — the scope exemption of
+/// `fnv-outside-digest`. The one other fold, fakequakes' factor-cache
+/// key, carries an inline allow with its reason.
+const FNV_ALLOWLIST: &[&str] = &["crates/obs/src/digest.rs"];
 
 /// Raw parallel-primitive spellings — shared between the per-file
 /// `raw-parallelism` rule and the graph-level
@@ -369,6 +383,11 @@ pub fn scan_file(file: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
             }
         }
 
+        // fnv-outside-digest
+        if !FNV_ALLOWLIST.contains(&file.rel_path.as_str()) && spells_fnv_constant(code) {
+            push("fnv-outside-digest", line);
+        }
+
         // naive-float-accum: fakequakes library code only; the simd module
         // itself (home of lane_sum and its scalar reference twin) is exempt.
         if file.crate_name == "fakequakes"
@@ -505,6 +524,24 @@ pub(crate) fn iterates_hash(code: &str, names: &[String]) -> bool {
         }
     }
     false
+}
+
+/// Does this masked line hold a hex literal equal to the FNV-1a offset
+/// basis or prime? Case, `_` grouping, leading zeros and a type suffix
+/// do not matter.
+fn spells_fnv_constant(code: &str) -> bool {
+    use fdw_obs::digest::{DIGEST_INIT, FNV_PRIME};
+    code.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter_map(|word| word.strip_prefix("0x").or(word.strip_prefix("0X")))
+        .any(|hex| {
+            let digits: String = hex
+                .chars()
+                .take_while(|c| c.is_ascii_hexdigit() || *c == '_')
+                .filter(|c| *c != '_')
+                .collect();
+            u64::from_str_radix(digits.trim_start_matches('0'), 16)
+                .is_ok_and(|v| v == DIGEST_INIT || v == FNV_PRIME)
+        })
 }
 
 /// Non-overlapping occurrences of `pat` in `code` — the unwrap budget

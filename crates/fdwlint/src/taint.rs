@@ -108,26 +108,32 @@ const SINKS: &[SinkSpec] = &[
     },
     SinkSpec {
         kind: "digest",
-        krate: "htcsim",
-        name: "digest_fold",
-        self_type: None,
-    },
-    SinkSpec {
-        kind: "digest",
-        krate: "htcsim",
+        krate: "fdw-obs",
         name: "fnv1a",
         self_type: None,
     },
     SinkSpec {
         kind: "digest",
-        krate: "fdw-core",
-        name: "fnv_u64",
+        krate: "fdw-obs",
+        name: "fnv1a_f64",
+        self_type: None,
+    },
+    SinkSpec {
+        kind: "digest",
+        krate: "fdw-obs",
+        name: "fnv1a_word",
+        self_type: None,
+    },
+    SinkSpec {
+        kind: "digest",
+        krate: "fdw-obs",
+        name: "digest_fold",
         self_type: None,
     },
     SinkSpec {
         kind: "digest",
         krate: "fakequakes",
-        name: "fnv1a_f64",
+        name: "distance_key",
         self_type: None,
     },
     SinkSpec {
@@ -841,8 +847,8 @@ mod tests {
     #[test]
     fn direct_source_and_sink_in_one_fn() {
         let files = vec![src(
-            "htcsim",
-            "crates/htcsim/src/x.rs",
+            "fdw-obs",
+            "crates/obs/src/x.rs",
             "pub fn digest_fold(h: u64, x: u64) -> u64 { h ^ x }\n\
                  pub fn stamp(m: &HashMap<u64, u64>) -> u64 {\n\
                  \x20   let mut h = 0;\n\

@@ -163,6 +163,7 @@ fn introspection_flags_and_exit_code_2() {
     let out = ws.run(&["--list-rules"]);
     assert_eq!(code(&out), 0);
     for rule in [
+        "fnv-outside-digest",
         "nondet-flow-to-sink",
         "dead-config-knob",
         "ulog-code-registry",

@@ -3,6 +3,7 @@
 //! or `#[cfg(test)]` regions never fires, and the allow/ratchet machinery
 //! behaves end to end the way `scripts/ci.sh` depends on.
 
+use fdw_obs::digest::{DIGEST_INIT, FNV_PRIME};
 use fdwlint::{scan_sources, scan_workspace, AnalysisOptions, Baseline, Ratchet, SourceFile};
 
 fn src(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
@@ -16,6 +17,14 @@ fn src(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
 /// Full scan (token rules + call-graph pass) at the default taint depth.
 fn scan(files: &[SourceFile]) -> fdwlint::ScanOutcome {
     scan_workspace(files, &AnalysisOptions::default())
+}
+
+/// `v` as an upper-case hex literal in `_`-separated groups of four
+/// (`0xCBF2_9CE4_…`), the spelling least like the digest module's.
+fn grouped_upper_hex(v: u64) -> String {
+    let hex = format!("{v:016X}");
+    let groups: Vec<&str> = (0..4).map(|i| &hex[4 * i..4 * i + 4]).collect();
+    format!("0x{}", groups.join("_"))
 }
 
 /// `(rule, violating source, passing source)` triples; all placed in a
@@ -88,6 +97,22 @@ fn per_rule_fixtures() -> Vec<(&'static str, SourceFile, SourceFile)> {
             ),
         ),
         (
+            "fnv-outside-digest",
+            src(
+                "dagman",
+                "crates/dagman/src/fx.rs",
+                &format!(
+                    "fn jitter(name: &str) -> u64 {{ fold({}, name) }}\n",
+                    grouped_upper_hex(DIGEST_INIT)
+                ),
+            ),
+            src(
+                "dagman",
+                "crates/dagman/src/fx.rs",
+                "fn jitter(name: &str) -> u64 { fnv1a(DIGEST_INIT, name.as_bytes()) }\n",
+            ),
+        ),
+        (
             "unwrap-in-lib",
             src(
                 "eew",
@@ -103,8 +128,8 @@ fn per_rule_fixtures() -> Vec<(&'static str, SourceFile, SourceFile)> {
         (
             "nondet-flow-to-sink",
             src(
-                "htcsim",
-                "crates/htcsim/src/fx.rs",
+                "fdw-obs",
+                "crates/obs/src/fx.rs",
                 "pub fn digest_fold(h: u64, x: u64) -> u64 { h ^ x }\n\
                  pub fn stamp(m: &HashMap<u64, u64>) -> u64 {\n\
                  \x20   let mut h = 0;\n\
@@ -115,8 +140,8 @@ fn per_rule_fixtures() -> Vec<(&'static str, SourceFile, SourceFile)> {
                  }\n",
             ),
             src(
-                "htcsim",
-                "crates/htcsim/src/fx.rs",
+                "fdw-obs",
+                "crates/obs/src/fx.rs",
                 "pub fn digest_fold(h: u64, x: u64) -> u64 { h ^ x }\n\
                  pub fn stamp(m: &BTreeMap<u64, u64>) -> u64 {\n\
                  \x20   let mut h = 0;\n\
@@ -228,6 +253,45 @@ fn every_registered_rule_is_covered_by_a_fixture() {
         assert!(covered.contains(&r.name), "no fixture for rule {}", r.name);
     }
     assert_eq!(covered.len(), fdwlint::rules::RULES.len());
+}
+
+#[test]
+fn fnv_constants_fire_outside_the_digest_module_and_the_allowed_key_fold() {
+    let basis = grouped_upper_hex(DIGEST_INIT);
+    let prime = format!("0x{FNV_PRIME:020x}u64"); // leading zeros, suffix
+    let key_fold = |allow: &str| {
+        format!(
+            "fn distance_key(xs: &[f64]) -> u64 {{\n{allow}\
+             \x20   xs.iter().fold({basis}, |h, x| (h ^ x.to_bits()).wrapping_mul({prime}))\n\
+             }}\n"
+        )
+    };
+    let lines_hit = |krate: &str, path: &str, text: &str| -> Vec<usize> {
+        scan(&[src(krate, path, text)])
+            .findings
+            .iter()
+            .filter(|f| f.rule == "fnv-outside-digest")
+            .map(|f| f.line)
+            .collect()
+    };
+    let stochastic = "crates/fakequakes/src/stochastic.rs";
+    // Silent in the digest module, and at the fakequakes key fold under
+    // its inline allow.
+    assert!(lines_hit("fdw-obs", "crates/obs/src/digest.rs", &key_fold("")).is_empty());
+    let allowed = key_fold("    // fdwlint::allow(fnv-outside-digest): no fdw-obs dependency\n");
+    assert!(lines_hit("fakequakes", stochastic, &allowed).is_empty());
+    // Caught in another file, and at the key fold without its allow.
+    assert_eq!(
+        lines_hit("dagman", "crates/dagman/src/driver.rs", &key_fold("")),
+        vec![2]
+    );
+    assert_eq!(lines_hit("fakequakes", stochastic, &key_fold("")), vec![2]);
+    // Near misses and test regions stay silent.
+    let quiet = format!(
+        "const NEAR: u64 = {:#x};\n#[cfg(test)]\nmod tests {{\n    const P: u64 = {FNV_PRIME:#X};\n}}\n",
+        DIGEST_INIT ^ 1
+    );
+    assert!(lines_hit("dagman", "crates/dagman/src/fx.rs", &quiet).is_empty());
 }
 
 #[test]

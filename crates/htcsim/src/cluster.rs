@@ -23,7 +23,7 @@ use crate::pool::{MachineId, Pool, PoolConfig};
 use crate::rand_util::exponential;
 use crate::scoreboard::{DefenseConfig, DefenseStats, Scoreboard, CHECKSUM_REQUEUE_S};
 use crate::time::SimTime;
-use crate::transfer::{StashCache, TransferConfig};
+use crate::transfer::StashCache;
 use crate::userlog::UserLog;
 
 /// A workload that submits jobs in reaction to cluster events (a DAGMan,
@@ -56,8 +56,6 @@ pub trait WorkloadDriver {
 pub struct ClusterConfig {
     /// Pool behaviour.
     pub pool: PoolConfig,
-    /// Transfer bandwidths.
-    pub transfer: TransferConfig,
     /// Whether the Stash cache is active (ablation switch).
     pub cache_enabled: bool,
     /// Remove a job from the queue after this many evictions (HTCondor's
@@ -834,7 +832,7 @@ impl Cluster {
                 j.state = JobState::TransferringOutput;
                 j.serial += 1;
                 j.stage_out_at = self.now;
-                let dur = self.cache.stage_out_secs(&j.spec, &self.config.transfer);
+                let dur = self.cache.stage_out_secs(&j.spec);
                 if let Some(m) = machine {
                     self.record_exec_outcome(m, exec_at, false);
                 }
@@ -1313,7 +1311,6 @@ impl Cluster {
                 let staged = self.cache.stage_in_verified(
                     site,
                     &j.spec,
-                    &self.config.transfer,
                     self.active_origin + 1,
                     &self.plan,
                     self.config.defense.checksum_enabled,

@@ -43,17 +43,8 @@ use crate::fault::lane_seed;
 use crate::rand_util::lognormal_median;
 use crate::time::SimTime;
 
-/// FNV-1a fold of one word into a running digest. Lane models use this
-/// to fingerprint every handled event; the engine folds lane digests in
-/// lane order, so the combined digest pins the full execution history.
-pub fn digest_fold(h: u64, x: u64) -> u64 {
-    let mut h = h ^ x;
-    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    h ^ (h >> 32)
-}
-
-/// Initial digest state (FNV-1a offset basis).
-pub const DIGEST_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+// The benchmark package imports the DES digest from this path.
+pub use fdw_obs::digest::{digest_fold, DIGEST_INIT};
 
 /// One lane's state machine.
 pub trait LaneModel: Send {

@@ -13,6 +13,8 @@
 //! regardless of event ordering. That is what makes chaos campaigns
 //! replayable — and what lets a rescue-DAG re-run see the *same* world.
 
+use fdw_obs::digest::{fnv1a, DIGEST_INIT};
+
 /// Exit code used for transient (retry-curable) job failures.
 pub const EXIT_TRANSIENT: i32 = 1;
 /// Exit code used for permanent (every-attempt) job failures.
@@ -221,15 +223,6 @@ pub struct FaultPlan {
     cfg: FaultConfig,
 }
 
-/// FNV-1a over a byte slice, folded into a running state.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// splitmix64 finaliser: turns the structured FNV state into
 /// well-mixed bits suitable for a uniform draw.
 fn mix(mut z: u64) -> u64 {
@@ -247,7 +240,7 @@ fn mix(mut z: u64) -> u64 {
 /// (never the shard count) means re-sharding a run does not change a
 /// single draw — the determinism contract of the sharded engine.
 pub fn lane_seed(seed: u64, lane: u32) -> u64 {
-    let h = fnv1a(0xcbf2_9ce4_8422_2325u64 ^ seed, b"lane");
+    let h = fnv1a(DIGEST_INIT ^ seed, b"lane");
     mix(fnv1a(h, &u64::from(lane).to_le_bytes()))
 }
 
@@ -277,7 +270,7 @@ impl FaultPlan {
 
     /// Uniform `[0, 1)` draw for `(domain, key, salt)` under this seed.
     fn draw(&self, domain: &str, key: &str, salt: u64) -> f64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.cfg.seed;
+        let mut h = DIGEST_INIT ^ self.cfg.seed;
         h = fnv1a(h, domain.as_bytes());
         h = fnv1a(h, &[0xff]);
         h = fnv1a(h, key.as_bytes());

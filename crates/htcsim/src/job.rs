@@ -198,6 +198,25 @@ pub enum JobEventKind {
     ArtifactQuarantined,
 }
 
+impl JobEventKind {
+    /// Does this event end an execution attempt that an
+    /// [`JobEventKind::ExecuteStarted`] opened? True for completion,
+    /// failure, eviction, hold, removal (`condor_rm` of a running job,
+    /// e.g. a speculative loser), preemption and pool outage.
+    pub fn ends_execution(self) -> bool {
+        matches!(
+            self,
+            JobEventKind::Completed
+                | JobEventKind::Evicted
+                | JobEventKind::Failed
+                | JobEventKind::Held
+                | JobEventKind::Removed
+                | JobEventKind::Preempted
+                | JobEventKind::PoolOutage
+        )
+    }
+}
+
 /// One timestamped job event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobEvent {

@@ -91,6 +91,6 @@ pub mod prelude {
     pub use crate::service::{ArtifactKind, DegradeMode, RejectReason, ServiceDetail, ShedReason};
     pub use crate::single::{SingleMachine, SingleRunReport};
     pub use crate::time::SimTime;
-    pub use crate::transfer::{SiteId, StashCache, TransferConfig};
+    pub use crate::transfer::{SiteId, StashCache};
     pub use crate::userlog::{JobTimes, UserLog};
 }

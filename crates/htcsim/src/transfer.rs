@@ -16,41 +16,27 @@ use crate::job::JobSpec;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u32);
 
-/// Bandwidths of the transfer paths, MB/s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferConfig {
-    /// Origin (submit-node) to execute-node bandwidth per transfer, MB/s.
-    pub origin_mbps: f64,
-    /// Aggregate capacity of the origin's uplink, MB/s. Concurrent origin
-    /// fetches share it; this is why OSG fronts large shared inputs with
-    /// the Stash cache at all. `f64::INFINITY` disables contention.
-    pub origin_capacity_mbps: f64,
-    /// Site cache to execute-node bandwidth, MB/s (caches are
-    /// distributed, so no shared-capacity term).
-    pub cache_mbps: f64,
-    /// Fixed per-transfer latency, seconds (connection setup, directory
-    /// creation, Singularity start).
-    pub setup_latency_s: f64,
-}
+/// Origin (submit-node) to execute-node bandwidth per transfer, MB/s.
+const ORIGIN_MBPS: f64 = 25.0;
 
-impl Default for TransferConfig {
-    fn default() -> Self {
-        Self {
-            origin_mbps: 25.0,
-            origin_capacity_mbps: 400.0,
-            cache_mbps: 250.0,
-            setup_latency_s: 10.0,
-        }
-    }
-}
+/// Aggregate capacity of the origin's uplink, MB/s. Concurrent origin
+/// fetches share it; this is why OSG fronts large shared inputs with the
+/// Stash cache at all.
+const ORIGIN_CAPACITY_MBPS: f64 = 400.0;
 
-impl TransferConfig {
-    /// Effective per-transfer origin bandwidth when `active` origin
-    /// transfers (including this one) share the uplink.
-    pub fn effective_origin_mbps(&self, active: usize) -> f64 {
-        let share = self.origin_capacity_mbps / active.max(1) as f64;
-        self.origin_mbps.min(share).max(0.01)
-    }
+/// Site cache to execute-node bandwidth, MB/s (caches are distributed,
+/// so no shared-capacity term).
+const CACHE_MBPS: f64 = 250.0;
+
+/// Fixed per-transfer latency, seconds (connection setup, directory
+/// creation, Singularity start).
+const SETUP_LATENCY_S: f64 = 10.0;
+
+/// Effective per-transfer origin bandwidth when `active` origin transfers
+/// (including this one) share the uplink.
+fn effective_origin_mbps(active: usize) -> f64 {
+    let share = ORIGIN_CAPACITY_MBPS / active.max(1) as f64;
+    ORIGIN_MBPS.min(share).max(0.01)
 }
 
 /// Outcome of one defended stage-in ([`StashCache::stage_in_verified`]).
@@ -141,8 +127,8 @@ impl StashCache {
     /// seconds, updating cache state. Cacheable files fetched at a site
     /// for the first time are pulled from the origin and become cached
     /// there.
-    pub fn stage_in_secs(&mut self, site: SiteId, spec: &JobSpec, cfg: &TransferConfig) -> f64 {
-        self.stage_in_secs_contended(site, spec, cfg, 1).0
+    pub fn stage_in_secs(&mut self, site: SiteId, spec: &JobSpec) -> f64 {
+        self.stage_in_secs_contended(site, spec, 1).0
     }
 
     /// Like [`Self::stage_in_secs`], but origin fetches run at the
@@ -153,11 +139,10 @@ impl StashCache {
         &mut self,
         site: SiteId,
         spec: &JobSpec,
-        cfg: &TransferConfig,
         active_origin: usize,
     ) -> (f64, bool) {
         let clean = FaultPlan::new(crate::fault::FaultConfig::default());
-        let staged = self.stage_in_verified(site, spec, cfg, active_origin, &clean, false);
+        let staged = self.stage_in_verified(site, spec, active_origin, &clean, false);
         (staged.secs, staged.used_origin)
     }
 
@@ -173,13 +158,12 @@ impl StashCache {
         &mut self,
         site: SiteId,
         spec: &JobSpec,
-        cfg: &TransferConfig,
         active_origin: usize,
         plan: &FaultPlan,
         verify: bool,
     ) -> StagedIn {
         let mut out = StagedIn {
-            secs: cfg.setup_latency_s,
+            secs: SETUP_LATENCY_S,
             used_origin: false,
             quarantined: 0,
             poisoned: false,
@@ -191,7 +175,7 @@ impl StashCache {
                 // The transfer itself happens either way; verification
                 // runs on the delivered bytes.
                 self.hits += 1;
-                out.secs += f.size_mb / cfg.cache_mbps;
+                out.secs += f.size_mb / CACHE_MBPS;
                 if self.corrupt.contains(&key) {
                     if verify {
                         self.cached.remove(&key);
@@ -212,7 +196,7 @@ impl StashCache {
                         self.corrupt.insert(key);
                     }
                 }
-                out.secs += f.size_mb / cfg.effective_origin_mbps(active_origin);
+                out.secs += f.size_mb / effective_origin_mbps(active_origin);
                 out.used_origin = true;
             }
         }
@@ -221,8 +205,8 @@ impl StashCache {
 
     /// Compute the stage-out time of a job's output, seconds. Outputs are
     /// never cached (they are unique per job).
-    pub fn stage_out_secs(&self, spec: &JobSpec, cfg: &TransferConfig) -> f64 {
-        cfg.setup_latency_s / 2.0 + spec.output_mb / cfg.origin_mbps
+    pub fn stage_out_secs(&self, spec: &JobSpec) -> f64 {
+        SETUP_LATENCY_S / 2.0 + spec.output_mb / ORIGIN_MBPS
     }
 }
 
@@ -244,11 +228,10 @@ mod tests {
     #[test]
     fn first_fetch_misses_then_hits() {
         let mut cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let j = job_with_input("gf.mseed", 1000.0, true);
         let site = SiteId(3);
-        let cold = cache.stage_in_secs(site, &j, &cfg);
-        let warm = cache.stage_in_secs(site, &j, &cfg);
+        let cold = cache.stage_in_secs(site, &j);
+        let warm = cache.stage_in_secs(site, &j);
         assert!(cold > warm * 3.0, "cold {cold} vs warm {warm}");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -258,10 +241,9 @@ mod tests {
     #[test]
     fn caches_are_per_site() {
         let mut cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let j = job_with_input("gf.mseed", 1000.0, true);
-        cache.stage_in_secs(SiteId(1), &j, &cfg);
-        let other_site = cache.stage_in_secs(SiteId(2), &j, &cfg);
+        cache.stage_in_secs(SiteId(1), &j);
+        let other_site = cache.stage_in_secs(SiteId(2), &j);
         // Both cold: different sites don't share cache contents.
         assert!(other_site > 40.0);
         assert_eq!(cache.misses(), 2);
@@ -270,10 +252,9 @@ mod tests {
     #[test]
     fn non_cacheable_always_origin() {
         let mut cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let j = job_with_input("unique_input.bin", 500.0, false);
-        let a = cache.stage_in_secs(SiteId(1), &j, &cfg);
-        let b = cache.stage_in_secs(SiteId(1), &j, &cfg);
+        let a = cache.stage_in_secs(SiteId(1), &j);
+        let b = cache.stage_in_secs(SiteId(1), &j);
         assert_eq!(a, b);
         assert_eq!(cache.hits() + cache.misses(), 0);
     }
@@ -282,10 +263,9 @@ mod tests {
     fn disabled_cache_never_hits() {
         let mut cache = StashCache::disabled();
         assert!(!cache.is_enabled());
-        let cfg = TransferConfig::default();
         let j = job_with_input("gf.mseed", 1000.0, true);
-        let a = cache.stage_in_secs(SiteId(1), &j, &cfg);
-        let b = cache.stage_in_secs(SiteId(1), &j, &cfg);
+        let a = cache.stage_in_secs(SiteId(1), &j);
+        let b = cache.stage_in_secs(SiteId(1), &j);
         assert_eq!(a, b);
         assert_eq!(cache.hit_rate(), 0.0);
     }
@@ -293,61 +273,45 @@ mod tests {
     #[test]
     fn empty_inputs_cost_only_latency() {
         let mut cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let j = JobSpec::fixed("t", 60.0);
-        assert_eq!(
-            cache.stage_in_secs(SiteId(0), &j, &cfg),
-            cfg.setup_latency_s
-        );
+        assert_eq!(cache.stage_in_secs(SiteId(0), &j), SETUP_LATENCY_S);
     }
 
     #[test]
     fn stage_out_scales_with_output() {
         let cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let mut j = JobSpec::fixed("t", 60.0);
         j.output_mb = 250.0;
-        let big = cache.stage_out_secs(&j, &cfg);
+        let big = cache.stage_out_secs(&j);
         j.output_mb = 10.0;
-        let small = cache.stage_out_secs(&j, &cfg);
+        let small = cache.stage_out_secs(&j);
         assert!(big > small);
         assert!((big - (5.0 + 10.0)).abs() < 1e-9);
     }
 
     #[test]
     fn origin_contention_slows_concurrent_fetches() {
-        let cfg = TransferConfig::default();
         // Few transfers: per-transfer bandwidth is the limit.
-        assert_eq!(cfg.effective_origin_mbps(1), 25.0);
-        assert_eq!(cfg.effective_origin_mbps(16), 25.0);
+        assert_eq!(effective_origin_mbps(1), 25.0);
+        assert_eq!(effective_origin_mbps(16), 25.0);
         // Many transfers: the uplink capacity is the limit.
-        assert_eq!(cfg.effective_origin_mbps(40), 10.0);
-        assert_eq!(cfg.effective_origin_mbps(400), 1.0);
+        assert_eq!(effective_origin_mbps(40), 10.0);
+        assert_eq!(effective_origin_mbps(400), 1.0);
         // Floor prevents zero bandwidth.
-        assert!(cfg.effective_origin_mbps(usize::MAX) >= 0.01);
+        assert!(effective_origin_mbps(usize::MAX) >= 0.01);
     }
 
     #[test]
     fn contended_stage_in_reports_origin_use() {
         let mut cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let j = job_with_input("gf.mseed", 1000.0, true);
-        let (cold, used) = cache.stage_in_secs_contended(SiteId(0), &j, &cfg, 100);
+        let (cold, used) = cache.stage_in_secs_contended(SiteId(0), &j, 100);
         assert!(used, "first fetch hits the origin");
-        let (uncontended, _) = cache.stage_in_secs_contended(SiteId(9), &j, &cfg, 1);
+        let (uncontended, _) = cache.stage_in_secs_contended(SiteId(9), &j, 1);
         assert!(cold > uncontended * 2.0, "{cold} vs {uncontended}");
-        let (warm, used) = cache.stage_in_secs_contended(SiteId(0), &j, &cfg, 100);
+        let (warm, used) = cache.stage_in_secs_contended(SiteId(0), &j, 100);
         assert!(!used, "cache hit avoids the origin entirely");
         assert!(warm < uncontended);
-    }
-
-    #[test]
-    fn infinite_capacity_disables_contention() {
-        let cfg = TransferConfig {
-            origin_capacity_mbps: f64::INFINITY,
-            ..Default::default()
-        };
-        assert_eq!(cfg.effective_origin_mbps(1_000_000), 25.0);
     }
 
     #[test]
@@ -359,20 +323,19 @@ mod tests {
             corrupt_prob: 1.0,
             ..Default::default()
         });
-        let cfg = TransferConfig::default();
         let j = job_with_input("gf.mseed", 1000.0, true);
         let site = SiteId(3);
         let mut cache = StashCache::new();
-        let cold = cache.stage_in_verified(site, &j, &cfg, 1, &plan, true);
+        let cold = cache.stage_in_verified(site, &j, 1, &plan, true);
         assert!(cold.used_origin && cold.quarantined == 0 && !cold.poisoned);
         // The cached copy is corrupt: the verified read pays the cache
         // transfer, detects, and evicts.
-        let bad = cache.stage_in_verified(site, &j, &cfg, 1, &plan, true);
+        let bad = cache.stage_in_verified(site, &j, 1, &plan, true);
         assert_eq!(bad.quarantined, 1);
         assert!(!bad.poisoned && !bad.used_origin);
         assert_eq!(cache.quarantines(), 1);
         // Retry after quarantine: entry gone, origin re-fetch.
-        let retry = cache.stage_in_verified(site, &j, &cfg, 1, &plan, true);
+        let retry = cache.stage_in_verified(site, &j, 1, &plan, true);
         assert!(retry.used_origin);
         assert_eq!(retry.quarantined, 0);
     }
@@ -385,15 +348,14 @@ mod tests {
             corrupt_prob: 1.0,
             ..Default::default()
         });
-        let cfg = TransferConfig::default();
         let j = job_with_input("gf.mseed", 1000.0, true);
         let site = SiteId(3);
         let mut cache = StashCache::new();
-        cache.stage_in_verified(site, &j, &cfg, 1, &plan, false);
+        cache.stage_in_verified(site, &j, 1, &plan, false);
         // Without verification the corrupt entry persists and poisons
         // every subsequent hit at the site.
         for _ in 0..3 {
-            let hit = cache.stage_in_verified(site, &j, &cfg, 1, &plan, false);
+            let hit = cache.stage_in_verified(site, &j, 1, &plan, false);
             assert!(hit.poisoned && hit.quarantined == 0);
         }
         assert_eq!(cache.quarantines(), 0);
@@ -403,13 +365,12 @@ mod tests {
     fn zero_corruption_plan_matches_legacy_path() {
         use crate::fault::{FaultConfig, FaultPlan};
         let plan = FaultPlan::new(FaultConfig::default());
-        let cfg = TransferConfig::default();
         let j = job_with_input("a.npy", 400.0, true);
         let mut a = StashCache::new();
         let mut b = StashCache::new();
         for site in [SiteId(0), SiteId(0), SiteId(1)] {
-            let (secs, origin) = a.stage_in_secs_contended(site, &j, &cfg, 2);
-            let v = b.stage_in_verified(site, &j, &cfg, 2, &plan, true);
+            let (secs, origin) = a.stage_in_secs_contended(site, &j, 2);
+            let v = b.stage_in_verified(site, &j, 2, &plan, true);
             assert_eq!(secs, v.secs);
             assert_eq!(origin, v.used_origin);
             assert_eq!(v.quarantined, 0);
@@ -422,14 +383,13 @@ mod tests {
     #[test]
     fn multiple_inputs_accumulate() {
         let mut cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let mut j = job_with_input("a.npy", 250.0, true);
         j.inputs.push(InputFile {
             name: "b.npy".into(),
             size_mb: 250.0,
             cacheable: true,
         });
-        let t = cache.stage_in_secs(SiteId(0), &j, &cfg);
+        let t = cache.stage_in_secs(SiteId(0), &j);
         assert!((t - (10.0 + 500.0 / 25.0)).abs() < 1e-9);
     }
 }

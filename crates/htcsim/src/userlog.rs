@@ -208,23 +208,13 @@ impl UserLog {
         let mut delta = vec![0i32; end + 2];
         let mut started: HashMap<JobId, SimTime> = HashMap::new();
         for e in &self.events {
-            match e.kind {
-                JobEventKind::ExecuteStarted => {
-                    started.insert(e.job, e.time);
+            if e.kind == JobEventKind::ExecuteStarted {
+                started.insert(e.job, e.time);
+            } else if e.kind.ends_execution() {
+                if let Some(s) = started.remove(&e.job) {
+                    delta[s.as_secs() as usize] += 1;
+                    delta[e.time.as_secs() as usize] -= 1;
                 }
-                JobEventKind::Completed
-                | JobEventKind::Evicted
-                | JobEventKind::Failed
-                | JobEventKind::Held
-                | JobEventKind::Removed
-                | JobEventKind::Preempted
-                | JobEventKind::PoolOutage => {
-                    if let Some(s) = started.remove(&e.job) {
-                        delta[s.as_secs() as usize] += 1;
-                        delta[e.time.as_secs() as usize] -= 1;
-                    }
-                }
-                _ => {}
             }
         }
         // Jobs still running at makespan.
@@ -251,29 +241,19 @@ impl UserLog {
         let mut started: HashMap<JobId, SimTime> = HashMap::new();
         let (mut good, mut bad) = (0u64, 0u64);
         for e in &self.events {
-            match e.kind {
-                JobEventKind::ExecuteStarted => {
-                    started.insert(e.job, e.time);
-                }
-                JobEventKind::Completed => {
-                    if let Some(s) = started.remove(&e.job) {
+            if e.kind == JobEventKind::ExecuteStarted {
+                started.insert(e.job, e.time);
+            } else if e.kind.ends_execution() {
+                // Anything but a completion (a mid-execution removal of a
+                // speculative loser or by walltime policy, spot
+                // reclamation, a pool outage, ...) wastes its cycles.
+                if let Some(s) = started.remove(&e.job) {
+                    if e.kind == JobEventKind::Completed {
                         good += e.time.since(s);
-                    }
-                }
-                JobEventKind::Evicted
-                | JobEventKind::Failed
-                | JobEventKind::Held
-                | JobEventKind::Removed
-                | JobEventKind::Preempted
-                | JobEventKind::PoolOutage => {
-                    // A mid-execution removal (condor_rm of a speculative
-                    // loser, walltime policy), spot reclamation, or a
-                    // pool outage wastes its cycles.
-                    if let Some(s) = started.remove(&e.job) {
+                    } else {
                         bad += e.time.since(s);
                     }
                 }
-                _ => {}
             }
         }
         (good, bad)

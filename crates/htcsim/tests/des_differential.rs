@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 use std::process::Command;
 
+use fdw_obs::digest::{fnv1a, DIGEST_INIT};
 use fdw_obs::Obs;
 use htcsim::condor_log::to_condor_log;
 use htcsim::des::{synth_engine, SynthConfig};
@@ -40,15 +41,6 @@ const SCENARIOS: [(&str, Scenario); 5] = [
 ];
 
 const SHARDS: [usize; 3] = [1, 4, 16];
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}.log", env!("CARGO_MANIFEST_DIR"));
@@ -111,11 +103,11 @@ fn fdw_threads_worker() {
         let report = build(4, obs.clone());
         println!(
             "DESDIFF ulog.{name} {:#018x}",
-            fnv64(to_condor_log(&report.log).as_bytes())
+            fnv1a(DIGEST_INIT, to_condor_log(&report.log).as_bytes())
         );
         println!(
             "DESDIFF metrics.{name} {:#018x}",
-            fnv64(obs.registry_json().as_bytes())
+            fnv1a(DIGEST_INIT, obs.registry_json().as_bytes())
         );
     }
     let threads = rayon::current_num_threads().max(1);

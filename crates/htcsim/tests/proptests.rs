@@ -10,7 +10,7 @@ use htcsim::job::{JobEvent, JobEventKind, JobId, JobSpec, OwnerId};
 use htcsim::pool::{Pool, PoolConfig};
 use htcsim::single::SingleMachine;
 use htcsim::time::SimTime;
-use htcsim::transfer::{SiteId, StashCache, TransferConfig};
+use htcsim::transfer::{SiteId, StashCache};
 use htcsim::userlog::UserLog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,7 +126,6 @@ proptest! {
         site in 0u32..5,
     ) {
         let mut cache = StashCache::new();
-        let cfg = TransferConfig::default();
         let mut spec = JobSpec::fixed("t", 1.0);
         for (i, s) in sizes.iter().enumerate() {
             spec.inputs.push(htcsim::job::InputFile {
@@ -135,8 +134,8 @@ proptest! {
                 cacheable: true,
             });
         }
-        let cold = cache.stage_in_secs(SiteId(site), &spec, &cfg);
-        let warm = cache.stage_in_secs(SiteId(site), &spec, &cfg);
+        let cold = cache.stage_in_secs(SiteId(site), &spec);
+        let warm = cache.stage_in_secs(SiteId(site), &spec);
         prop_assert!(warm <= cold + 1e-9);
         prop_assert!((0.0..=1.0).contains(&cache.hit_rate()));
     }
@@ -258,7 +257,6 @@ proptest! {
                 avail_sigma: 0.1,
                 ..Default::default()
             },
-            transfer: Default::default(),
             cache_enabled: true,
             max_evictions_per_job: 0,
             faults: Default::default(),

@@ -17,7 +17,9 @@
 //!   file (node counts, per-attempt goodput/badput, hold/release totals)
 //!   written alongside rescue files;
 //! * [`json`] — the tiny escape/validate helpers the exporters and the CI
-//!   smoke stage share.
+//!   smoke stage share;
+//! * [`digest`] — the one FNV-1a content digest every byte-identity
+//!   check in the workspace folds through.
 //!
 //! Everything funnels through an [`Obs`] handle: a cheap clonable value
 //! that is a no-op when disabled, so instrumented code pays nothing on
@@ -40,6 +42,7 @@
 
 pub mod chrome;
 pub mod dag_metrics;
+pub mod digest;
 pub mod json;
 pub mod metrics;
 pub mod trace;

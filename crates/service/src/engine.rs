@@ -18,8 +18,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use fdw_obs::digest::{digest_fold, DIGEST_INIT};
 use fdw_obs::Obs;
-use htcsim::des::{digest_fold, LaneModel, ShardedEngine, DIGEST_INIT};
+use htcsim::des::{LaneModel, ShardedEngine};
 use htcsim::job::{JobEvent, JobEventKind, JobId, OwnerId};
 use htcsim::service::{ArtifactKind, DegradeMode, RejectReason, ServiceDetail, ShedReason};
 use htcsim::time::SimTime;

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use htcsim::des::{digest_fold, DIGEST_INIT};
+use fdw_obs::digest::{digest_fold, DIGEST_INIT};
 use htcsim::service::ArtifactKind;
 
 /// Content digest of an artifact: a pure function of what the artifact

@@ -14,18 +14,10 @@
 
 use std::process::Command;
 
+use fdw_obs::digest::{fnv1a, DIGEST_INIT};
 use fdw_service::prelude::*;
 use htcsim::condor_log::to_condor_log;
 use proptest::prelude::*;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -123,7 +115,7 @@ fn decision_digest_invariant_under_fdw_threads() {
         println!(
             "digest={:016x} ulog={:016x} unaccounted={}",
             r.decision_digest,
-            fnv64(to_condor_log(&r.log).as_bytes()),
+            fnv1a(DIGEST_INIT, to_condor_log(&r.log).as_bytes()),
             r.unaccounted
         );
         return;

@@ -127,7 +127,8 @@ echo "  service report byte-identical across FDW_THREADS 1/2/8."
 echo "==> simd kernel-chain determinism (FDW_THREADS 1/2/8, bench_snapshot digest)"
 # bench_snapshot's child mode folds every laned/blocked kernel output —
 # distance matrices, von Kármán covariance, Cholesky, matmul, matvec and
-# the hoisted Green's functions — into one FNV-1a digest (DESIGN.md §13).
+# the hoisted Green's functions — into one digest, an FNV-1a word step per
+# value (`fdw_obs::digest::fnv1a_word`, DESIGN.md §5 and §13).
 # Comparing that digest across thread counts pins the simd layer the same
 # way the artifact byte-compare above pins the catalog path.
 simd_ref=""

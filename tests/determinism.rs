@@ -15,7 +15,6 @@ fn cluster() -> ClusterConfig {
             glidein_slots: 8,
             ..Default::default()
         },
-        transfer: Default::default(),
         cache_enabled: true,
         max_evictions_per_job: 0,
         faults: Default::default(),
@@ -180,7 +179,7 @@ fn parallel_covariance_and_distance_npy_bytes_match_sequential() {
 #[test]
 fn parallel_waveform_mseed_bytes_match_sequential() {
     use fdw_suite::fakequakes::{artifacts, mseed::MseedFile, waveform};
-    use fdw_suite::htcsim::des::{digest_fold, DIGEST_INIT};
+    use fdw_suite::fdw_obs::digest::{digest_fold, DIGEST_INIT};
     let fault = FaultModel::chilean_subduction(10, 5).unwrap();
     let net = StationNetwork::chilean(4, 2).unwrap();
     let dists = DistanceMatrices::compute(&fault, &net);
@@ -247,6 +246,50 @@ fn parallel_waveform_mseed_bytes_match_sequential() {
             .fold(digest_fold(DIGEST_INIT, bytes.len() as u64), digest_fold);
         assert_eq!(digest, pinned, "{} waveform .mseed digest", stf.label());
     }
+}
+
+#[test]
+fn fnv1a_matches_the_published_vectors() {
+    use fdw_suite::fdw_obs::digest::{fnv1a, DIGEST_INIT};
+    assert_eq!(fnv1a(DIGEST_INIT, b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a(DIGEST_INIT, b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a(DIGEST_INIT, b"foobar"), 0x8594_4171_f739_67e8);
+}
+
+#[test]
+fn lane_seeds_and_science_digests_are_pinned() {
+    // Each caller of fdw_obs::digest folds with one variant: byte-wise
+    // for lane seeds and the chaos and service science digests, the DES
+    // fold around the service's per-campaign hashes. These values were
+    // recorded before the folds moved into one module, so a caller that
+    // picks up the wrong variant fails here.
+    use fdw_suite::fdw_core::chaos::baseline_digest;
+    use fdw_suite::fdw_core::service::run_service_campaign;
+    use fdw_suite::fdw_service::config::ServiceConfig;
+    use fdw_suite::fdw_service::request::WorkloadConfig;
+    use fdw_suite::htcsim::fault::lane_seed;
+    assert_eq!(lane_seed(1, 0), 0x0539_8ef6_43fb_6e5c);
+    assert_eq!(lane_seed(9, 3), 0x06db_56de_ab4c_6140);
+    assert_eq!(lane_seed(0xdead_beef, 63), 0xa785_cf43_07f9_ecd7);
+
+    let cfg = FdwConfig::parse(
+        "station_input = 2\nn_waveforms = 4\nruptures_per_job = 2\nwaveforms_per_job = 2\n\
+         fault_nx = 10\nfault_nd = 5\nseed = 5\n",
+    )
+    .unwrap();
+    assert_eq!(baseline_digest(&cfg).unwrap(), 0x133b_eb39_d853_1735);
+
+    let wl = WorkloadConfig {
+        seed: 11,
+        campaigns: 24,
+        classes: 2,
+        overload_x: 3.0,
+        replicas: 2,
+        ..Default::default()
+    };
+    let report = run_service_campaign(&ServiceConfig::defended(3), &wl, 2, 60, 2).unwrap();
+    assert_eq!(report.science.campaigns, 24);
+    assert_eq!(report.science.digest, 0x3115_2500_feba_a80d);
 }
 
 #[test]

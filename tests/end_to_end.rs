@@ -19,7 +19,6 @@ fn test_cluster() -> ClusterConfig {
             glidein_lifetime_s: 1e9,
             ..Default::default()
         },
-        transfer: Default::default(),
         cache_enabled: true,
         max_evictions_per_job: 0,
         faults: Default::default(),
