@@ -100,8 +100,13 @@ impl RuptureConfig {
         if self.rupture_velocity_kms <= 0.0 {
             return Err(FqError::Config("rupture velocity must be positive".into()));
         }
-        if !(0.0..=1.0).contains(&self.hurst) {
+        if !(self.hurst > 0.0 && self.hurst <= 1.0) {
             return Err(FqError::Config("hurst must be in (0, 1]".into()));
+        }
+        if !(self.slip_sigma.is_finite() && self.slip_sigma >= 0.0) {
+            return Err(FqError::Config(
+                "slip_sigma must be finite and non-negative".into(),
+            ));
         }
         Ok(())
     }
@@ -296,8 +301,9 @@ impl<'a> RuptureGenerator<'a> {
             mask[hypo] = true;
         }
 
-        // Correlated lognormal slip on the patch.
-        let z = self.field.sample(&mut rng);
+        // Correlated lognormal slip on the patch: only the patch's rows of
+        // the field are drawn, since nothing reads the others.
+        let z = self.field.sample_rows(&mut rng, &mask);
         let sigma = self.config.slip_sigma;
         let mut slip: Vec<f64> = (0..n)
             .map(|i| if mask[i] { (sigma * z[i]).exp() } else { 0.0 })
@@ -404,6 +410,34 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn config_validation_rejects_zero_hurst() {
+        // The error text promises (0, 1]; VonKarman would otherwise
+        // clamp a zero exponent to 0.01 without a word.
+        let c = RuptureConfig {
+            hurst: 0.0,
+            ..Default::default()
+        };
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn config_validation_rejects_nan_or_negative_slip_sigma() {
+        // A NaN sigma passed validation and generated non-finite slip.
+        for slip_sigma in [f64::NAN, f64::INFINITY, -0.1] {
+            let c = RuptureConfig {
+                slip_sigma,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "slip_sigma {slip_sigma}");
+        }
+        let flat = RuptureConfig {
+            slip_sigma: 0.0,
+            ..Default::default()
+        };
+        assert!(flat.validate().is_ok(), "a zero sigma is a flat slip field");
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub struct CorrelatedField {
     /// For Cholesky: lower-triangular L. For KL: `V * diag(sqrt(λ))`
     /// restricted to the retained modes (an `n × k` matrix).
     factor: Matrix,
+    /// True for a Cholesky factor: every entry above the diagonal is an
+    /// exact +0.0.
+    lower_triangular: bool,
     /// Fraction of total variance captured by the retained modes (1.0 for
     /// Cholesky).
     variance_captured: f64,
@@ -73,6 +76,7 @@ impl CorrelatedField {
                     n,
                     method_label: "cholesky",
                     factor: l,
+                    lower_triangular: true,
                     variance_captured: 1.0,
                 })
             }
@@ -94,6 +98,7 @@ impl CorrelatedField {
                     n,
                     method_label: "karhunen-loeve",
                     factor,
+                    lower_triangular: false,
                     variance_captured: if total > 0.0 { kept / total } else { 0.0 },
                 })
             }
@@ -122,9 +127,42 @@ impl CorrelatedField {
 
     /// Draw one zero-mean, unit-marginal-variance correlated field.
     pub fn sample(&self, rng: &mut StdRng) -> Vec<f64> {
+        self.sample_rows(rng, &vec![true; self.n])
+    }
+
+    /// Draw one field, computing only the rows where `rows[i]` is true;
+    /// the other entries are 0.0. A computed row equals the same row of
+    /// [`CorrelatedField::sample`] from the same RNG state, except that
+    /// an exact zero may carry the other sign, and the RNG ends in the
+    /// same state.
+    ///
+    /// Each computed row is `simd::dot(factor.row(i), &z)`, as in
+    /// [`Matrix::matvec`]. A Cholesky factor is lower triangular, so the
+    /// normals past the last computed row only meet exact zeros: they
+    /// enter `z` as 0.0 and their uniforms are drawn but not transformed.
+    pub fn sample_rows(&self, rng: &mut StdRng, rows: &[bool]) -> Vec<f64> {
+        assert_eq!(rows.len(), self.n, "row mask length mismatch");
         let k = self.factor.cols();
-        let z: Vec<f64> = (0..k).map(|_| standard_normal(rng)).collect();
-        self.factor.matvec(&z)
+        let live = if self.lower_triangular {
+            rows.iter().rposition(|&r| r).map_or(0, |last| last + 1)
+        } else {
+            k
+        };
+        let mut z = vec![0.0; k];
+        for zi in &mut z[..live] {
+            *zi = standard_normal(rng);
+        }
+        skip_standard_normals(rng, k - live);
+        rows.iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                if r {
+                    simd::dot(self.factor.row(i), &z)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
     }
 
     /// Approximate heap footprint of the factor matrix in bytes (what a
@@ -242,13 +280,18 @@ struct FactorKey {
     method: MethodKey,
 }
 
-/// Content key of a distance matrix: one FNV-1a word step per distance
-/// over its bit pattern. Cheap (O(n²), against the O(n³) factorisation
-/// it guards, and one multiply per value where the byte-wise fold needs
-/// eight) and exact where it matters: each step is a bijection of the
-/// state, so two matrices that differ in any single distance get
-/// different keys. The key never leaves the cache, so its values are
-/// not pinned anywhere.
+/// Lanes of [`distance_key`]'s interleaved fold.
+const KEY_LANES: usize = 8;
+
+/// Content key of a distance matrix: FNV-1a word steps over the bit
+/// patterns, distance `p` into lane `p % 8` of eight interleaved lanes,
+/// then the eight lane words and the remainder folded into one word.
+/// The lanes are independent multiply chains, so a warm lookup is not
+/// bound by the latency of n² serial multiplies. Cheap (O(n²), against
+/// the O(n³) factorisation it guards) and exact where it matters: every
+/// step is a bijection of the state it updates, so two matrices that
+/// differ in any single distance get different keys. The key never
+/// leaves the cache, so its values are not pinned anywhere.
 ///
 /// This is the one FNV fold outside `fdw_obs::digest`: a normal
 /// dependency on `fdw-obs` would add a line to the benchmark package's
@@ -256,8 +299,17 @@ struct FactorKey {
 fn distance_key(xs: &[f64]) -> u64 {
     // fdwlint::allow(fnv-outside-digest): depending on fdw-obs would move perfbench/Cargo.lock (see above)
     let (basis, prime) = (0xcbf2_9ce4_8422_2325, 0x0000_0100_0000_01b3);
-    xs.iter()
-        .fold(basis, |h, x| (h ^ x.to_bits()).wrapping_mul(prime))
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(prime);
+    let mut lanes = [basis; KEY_LANES];
+    let chunks = xs.chunks_exact(KEY_LANES);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (lane, x) in lanes.iter_mut().zip(chunk) {
+            *lane = step(*lane, x.to_bits());
+        }
+    }
+    let h = lanes.into_iter().fold(basis, step);
+    rest.iter().fold(h, |h, x| step(h, x.to_bits()))
 }
 
 /// Hit/miss/entry counts of a [`FactorCache`], for telemetry.
@@ -457,6 +509,14 @@ pub fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Advance `rng` past `count` [`standard_normal`] draws without
+/// transforming them: the same two uniforms per draw.
+fn skip_standard_normals(rng: &mut StdRng, count: usize) {
+    for _ in 0..2 * count {
+        let _: f64 = rng.gen();
+    }
 }
 
 /// Summary statistics of a sampled field (used by tests and the Fig. 1
@@ -699,6 +759,22 @@ mod tests {
                 .unwrap();
             let s = cache.stats();
             assert_eq!((s.hits, s.misses, s.entries), (1, 4 + i as u64, 4 + i));
+        }
+        // One distance moved one ulp misses in each of the key's eight
+        // lanes and in its remainder: n² = 324 is not a multiple of 8, so
+        // the last 4 distances fold after the lanes.
+        let len = d.subfault_to_subfault.as_slice().len();
+        assert_ne!(len % KEY_LANES, 0);
+        let positions = (0..KEY_LANES).map(|lane| 17 * KEY_LANES + lane);
+        for (i, p) in positions.chain([len - 1]).enumerate() {
+            let mut moved = d.subfault_to_subfault.clone();
+            let x = &mut moved.as_mut_slice()[p];
+            *x = f64::from_bits(x.to_bits() + 1);
+            cache
+                .get_or_build("mesh-a", &moved, &vk, FieldMethod::Cholesky)
+                .unwrap();
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.entries), (1, 7 + i as u64, 7 + i));
         }
         cache.clear();
         let s = cache.stats();

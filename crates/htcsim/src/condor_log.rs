@@ -281,7 +281,8 @@ pub fn parse_condor_log(text: &str) -> Result<UserLog, String> {
         if after.len() < 14 {
             return Err(err("truncated timestamp"));
         }
-        let time = parse_time(&after[..14]).map_err(|e| err(&e))?;
+        let stamp = after.get(..14).ok_or_else(|| err("non-ASCII timestamp"))?;
+        let time = parse_time(stamp).map_err(|e| err(&e))?;
         let (job, owner) = (JobId(job), OwnerId(owner));
         let body = after[14..].trim();
         let ev = match code {
@@ -597,6 +598,9 @@ mod tests {
         );
         assert!(parse_time("13/00 00:00:00").is_err());
         assert!(parse_time("01/01 99:xx:00").is_err());
+        // A multi-byte character across the timestamp's 14th byte is an
+        // error, not a slice panic.
+        assert!(parse_condor_log("001 (001.000.000) 01/01 00:04:\u{fffd}0 x\n").is_err());
         // Empty input parses to an empty log.
         assert!(parse_condor_log("").unwrap().is_empty());
     }

@@ -31,12 +31,30 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// `FNV_PRIME⁸ mod 2⁶⁴`: eight byte steps over zero bytes in one multiply.
+const FNV_PRIME_8: u64 = {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < 8 {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
 /// Byte-wise FNV-1a over the little-endian bit patterns of `xs`: exact,
 /// so any bitwise difference in the floats changes the digest.
+///
+/// A `+0.0` element (all eight bytes zero) folds as one multiply by
+/// `FNV_PRIME⁸`, which is what eight steps of `(h ^ 0) · FNV_PRIME`
+/// compute mod 2⁶⁴. Every other bit pattern, `-0.0` included, takes the
+/// byte loop.
 #[inline]
 pub fn fnv1a_f64(h: u64, xs: &[f64]) -> u64 {
-    xs.iter()
-        .fold(h, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
+    xs.iter().fold(h, |h, x| match x.to_bits() {
+        0 => h.wrapping_mul(FNV_PRIME_8),
+        bits => fnv1a(h, &bits.to_le_bytes()),
+    })
 }
 
 /// One FNV-1a step over a whole word: `(h ^ x) · prime`.

@@ -319,3 +319,123 @@ fn glidein_churn_replay_is_byte_identical() {
     assert_eq!(evictions_a, evictions_b, "evictions");
     assert!(log_a == log_b, "ULOG bytes differ between same-seed runs");
 }
+
+/// A rupture draws only its patch's rows of the slip field. Each drawn
+/// row must equal the full draw's row (`==`: the sign of an exact zero may
+/// differ, which `exp(σ·z)` cannot see), and the RNG must end in the full
+/// draw's state, so later draws from the same stream match. Runs on the
+/// Chile 32×16 and Cascadia 20×8 meshes; `method(n)` picks the
+/// factorisation for an n-subfault mesh.
+fn check_masked_draws(method: impl Fn(usize) -> FieldMethod) {
+    use fdw_suite::fakequakes::stochastic::CorrelatedField;
+    use fdw_suite::fakequakes::vonkarman::VonKarman;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let net = StationNetwork::chilean_input(ChileanInput::Small, 1);
+    let meshes = [
+        FaultModel::chilean_subduction(32, 16).unwrap(),
+        FaultModel::cascadia_subduction(20, 8).unwrap(),
+    ];
+    for fault in &meshes {
+        let n = fault.len();
+        let dists = DistanceMatrices::compute(fault, &net).subfault_to_subfault;
+        let kernel = VonKarman::for_rupture(300.0, 100.0, 0.75);
+        let method = method(n);
+        let field = CorrelatedField::from_distances(&dists, &kernel, method).unwrap();
+        let hypo = (fault.n_strike() / 2) * fault.n_dip() + fault.n_dip() / 2;
+        let edge_rect: Vec<bool> = fault
+            .subfaults()
+            .iter()
+            .map(|sf| sf.along_strike < 4 && (1..4).contains(&sf.down_dip))
+            .collect();
+        let only = |i: usize| (0..n).map(|j| j == i).collect::<Vec<bool>>();
+        let masks = [
+            ("hypocentre", only(hypo)),
+            ("first row", only(0)),
+            ("last row", only(n - 1)),
+            ("strike-edge rectangle", edge_rect),
+            ("all rows", vec![true; n]),
+        ];
+        for (seed, (label, mask)) in masks.iter().enumerate() {
+            let mut full_rng = StdRng::seed_from_u64(seed as u64);
+            let mut masked_rng = StdRng::seed_from_u64(seed as u64);
+            let full = field.sample(&mut full_rng);
+            let masked = field.sample_rows(&mut masked_rng, mask);
+            for i in 0..n {
+                let want = if mask[i] { full[i] } else { 0.0 };
+                assert!(
+                    masked[i] == want,
+                    "{} {method:?} {label}: row {i} {} vs {want}",
+                    fault.name(),
+                    masked[i]
+                );
+            }
+            assert_eq!(
+                masked_rng.gen::<u64>(),
+                full_rng.gen::<u64>(),
+                "{} {method:?} {label}: RNG state after the draw",
+                fault.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn masked_cholesky_draws_match_full_draws() {
+    check_masked_draws(|_| FieldMethod::Cholesky);
+}
+
+#[test]
+fn masked_karhunen_loeve_draws_match_full_draws() {
+    check_masked_draws(|n| FieldMethod::KarhunenLoeve { modes: n / 2 });
+}
+
+#[test]
+fn fnv1a_f64_zero_step_matches_the_byte_fold() {
+    // fnv1a_f64 folds a +0.0 element with one multiply; every value must
+    // still digest exactly as the byte-wise fold of its bit pattern.
+    use fdw_suite::fdw_obs::digest::{fnv1a, fnv1a_f64, DIGEST_INIT};
+    let byte_fold = |xs: &[f64]| {
+        xs.iter()
+            .fold(DIGEST_INIT, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
+    };
+    let specials = [
+        0.0,
+        -0.0,
+        f64::from_bits(0x7ff8_0000_0000_0000),
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff8_dead_beef_0001),
+        f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        -f64::from_bits(3),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        1.0,
+        -2.5e300,
+    ];
+    let mixed: Vec<f64> = (0..97)
+        .map(|i| specials[(i * 7) % specials.len()])
+        .collect();
+    let mostly_zero: Vec<f64> = (0..64)
+        .map(|i| {
+            if i % 9 == 4 {
+                -0.0
+            } else if i % 13 == 5 {
+                3.25
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    for xs in [&specials[..], &mixed, &mostly_zero, &[], &[0.0; 8]] {
+        assert_eq!(fnv1a_f64(DIGEST_INIT, xs), byte_fold(xs), "{xs:?}");
+    }
+    for h in [0, 1, u64::MAX, 0x1234_5678_9abc_def0] {
+        assert_eq!(fnv1a_f64(h, &[0.0]), fnv1a(h, &[0; 8]));
+    }
+    assert_ne!(
+        fnv1a_f64(DIGEST_INIT, &[0.0]),
+        fnv1a_f64(DIGEST_INIT, &[-0.0])
+    );
+}
