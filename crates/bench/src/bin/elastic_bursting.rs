@@ -6,34 +6,25 @@
 //! (windowed-throughput SD).
 
 #![forbid(unsafe_code)]
-use fakequakes::stations::ChileanInput;
-use fdw_core::prelude::*;
+use fdw_bench::record_bursting_batches;
 use vdc_burst::prelude::*;
 
 fn main() {
     println!("Extension — elastic VDC bursting vs static Policy 1 (paper §6 future work)\n");
-    let cluster = osg_cluster_config();
-    let base = FdwConfig {
-        n_waveforms: 16_000,
-        station_input: StationInput::Chilean(ChileanInput::Full),
-        ..Default::default()
-    };
-    for (seed, label) in [(1u64, "batch1"), (2u64, "batch2")] {
-        let out = run_fdw(&base, cluster.clone(), seed).expect("recording run");
-        let input = BatchInput::from_report(&out.report).expect("records");
+    for (label, input) in record_bursting_batches() {
         let control = simulate(&input, &BurstPolicies::control()).unwrap();
         let static1 = simulate(&input, &BurstPolicies::paper_sweep(5, 90)).unwrap();
-        let elastic = simulate_elastic(
-            &input,
-            &ElasticPolicy {
+        let elastic = BurstPolicies {
+            elastic: Some(ElasticPolicy {
                 target_jpm: 20.0,
                 control_period_s: 30,
                 gain: 0.5,
                 max_vdc_slots: 150,
                 window_s: 300,
-            },
-        )
-        .unwrap();
+            }),
+            ..Default::default()
+        };
+        let elastic = simulate(&input, &elastic).unwrap();
 
         println!("== {label} ({} jobs) ==", control.total_jobs);
         println!(
@@ -64,8 +55,8 @@ fn main() {
         );
         row(
             "elastic (target 20)",
-            &elastic.base,
-            Some(windowed_sd(&elastic.base.instant_series)),
+            &elastic,
+            Some(windowed_sd(&elastic.instant_series)),
         );
         println!(
             "  elastic telemetry: peak {} VDC slots, mean {:.1} slots",

@@ -5,41 +5,20 @@
 //! OSG records serve as controls (§4.3).
 
 #![forbid(unsafe_code)]
-use fakequakes::stations::ChileanInput;
-use fdw_core::prelude::*;
+use fdw_bench::record_bursting_batches;
 use vdc_burst::prelude::*;
 
 const PROBE_TIMES: [u64; 7] = [1, 2, 5, 10, 30, 60, 120];
 const QUEUE_MINS: [u64; 2] = [90, 120];
 
-/// Record two real (simulated-OSG) 16,000-waveform single-DAGMan batches,
-/// as §4.3 takes its two batches from the §4.2 experiment.
-fn record_batches() -> Vec<(String, BatchInput)> {
-    let cluster = osg_cluster_config();
-    let base = FdwConfig {
-        n_waveforms: 16_000,
-        station_input: StationInput::Chilean(ChileanInput::Full),
-        ..Default::default()
-    };
-    [(1u64, "batch1"), (2u64, "batch2")]
-        .into_iter()
-        .map(|(seed, label)| {
-            let out = run_fdw(&base, cluster.clone(), seed).expect("recording run failed");
-            let input = BatchInput::from_report(&out.report).expect("CSV roundtrip failed");
-            (label.to_string(), input)
-        })
-        .collect()
-}
-
 fn main() {
     println!("Fig. 5 — VDC bursting sweep (Policy 1 probe x Policy 2 queue; paper Fig. 5)\n");
-    let batches = record_batches();
     let mut rows: Vec<SweepRow> = Vec::new();
-    for (label, input) in &batches {
+    for (label, input) in &record_bursting_batches() {
         // Control: the untouched OSG record.
         let control = simulate(input, &BurstPolicies::control()).expect("control failed");
         rows.push(SweepRow {
-            batch: label.clone(),
+            batch: label.to_string(),
             probe_secs: 0,
             queue_mins: 0,
             outcome: control,
@@ -49,7 +28,7 @@ fn main() {
                 let outcome = simulate(input, &BurstPolicies::paper_sweep(probe, queue))
                     .expect("sweep sim failed");
                 rows.push(SweepRow {
-                    batch: label.clone(),
+                    batch: label.to_string(),
                     probe_secs: probe,
                     queue_mins: queue,
                     outcome,

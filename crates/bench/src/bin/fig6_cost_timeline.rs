@@ -3,22 +3,12 @@
 //! the ≤30 % bursted-jobs constraint of the cost experiment.
 
 #![forbid(unsafe_code)]
-use fakequakes::stations::ChileanInput;
-use fdw_bench::{downsample, sparkline};
-use fdw_core::prelude::*;
+use fdw_bench::{downsample, record_bursting_batches, sparkline};
 use vdc_burst::prelude::*;
 
 fn main() {
     println!("Fig. 6 — bursting cost and throughput timelines (paper Fig. 6)\n");
-    let cluster = osg_cluster_config();
-    let base = FdwConfig {
-        n_waveforms: 16_000,
-        station_input: StationInput::Chilean(ChileanInput::Full),
-        ..Default::default()
-    };
-    for (seed, label) in [(1u64, "batch1"), (2u64, "batch2")] {
-        let out = run_fdw(&base, cluster.clone(), seed).expect("recording run failed");
-        let input = BatchInput::from_report(&out.report).expect("CSV roundtrip failed");
+    for (label, input) in record_bursting_batches() {
         let control = simulate(&input, &BurstPolicies::control()).unwrap();
         // The §5.3.4 configuration: 10 s probe, 120 min queue, <=30% bursted.
         let mut policies = BurstPolicies::paper_sweep(10, 120);

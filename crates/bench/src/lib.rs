@@ -30,6 +30,9 @@
 use std::path::PathBuf;
 
 use dagman::monitor::MeanSd;
+use fakequakes::stations::ChileanInput;
+use fdw_core::prelude::*;
+use vdc_burst::records::BatchInput;
 
 /// The three replication seeds used throughout, mirroring the paper's
 /// three runs per configuration.
@@ -85,6 +88,26 @@ pub fn write_obs_artifact(name: &str, content: &str) -> Option<PathBuf> {
             None
         }
     }
+}
+
+/// Record the two batches the bursting binaries replay: one
+/// 16,000-waveform, full-input DAGMan on the simulated OSPool per seed
+/// (1 and 2), as §4.3 takes its two batches from the §4.2 experiment.
+pub fn record_bursting_batches() -> Vec<(&'static str, BatchInput)> {
+    let cluster = osg_cluster_config();
+    let base = FdwConfig {
+        n_waveforms: 16_000,
+        station_input: StationInput::Chilean(ChileanInput::Full),
+        ..Default::default()
+    };
+    [(1u64, "batch1"), (2u64, "batch2")]
+        .into_iter()
+        .map(|(seed, label)| {
+            let out = run_fdw(&base, cluster.clone(), seed).expect("recording run failed");
+            let input = BatchInput::from_report(&out.report).expect("CSV roundtrip failed");
+            (label, input)
+        })
+        .collect()
 }
 
 /// Render a `mean ± sd` cell.

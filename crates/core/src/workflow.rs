@@ -263,37 +263,19 @@ pub fn replicate_fdw_with_obs(
 ) -> Result<ReplicatedStats, String> {
     let rt_name = format!("fdw.{scope}.runtime_h");
     let tp_name = format!("fdw.{scope}.throughput_jpm");
-    // Seeds are independent replications, so with no telemetry sink
-    // attached they fan out across threads. With a sink they stay
-    // sequential: parallel recording would make the floating-point
-    // accumulation (and trace) order seed-interleaved, breaking the
-    // byte-identical-telemetry guarantee.
-    let outcomes: Vec<Result<FdwOutcome, String>> = if obs.is_enabled() {
-        seeds
-            .iter()
-            .map(|&seed| {
-                run_concurrent_fdw_with_obs(
-                    cfg,
-                    n_dagmans,
-                    total_waveforms,
-                    cluster_cfg.clone(),
-                    seed,
-                    obs,
-                )
-            })
-            .collect()
-    } else {
-        fakequakes::par::map_indexed(seeds.len(), 1, |i| {
+    let outcomes: Vec<Result<FdwOutcome, String>> = seeds
+        .iter()
+        .map(|&seed| {
             run_concurrent_fdw_with_obs(
                 cfg,
                 n_dagmans,
                 total_waveforms,
                 cluster_cfg.clone(),
-                seeds[i],
+                seed,
                 obs,
             )
         })
-    };
+        .collect();
     let mut runtimes = Vec::new();
     let mut through_inputs = Vec::new();
     for out in outcomes {

@@ -97,8 +97,15 @@ impl RuptureConfig {
                 "mw_range ({lo}, {hi}) must satisfy 6.0 <= lo <= hi <= 9.5"
             )));
         }
-        if self.rupture_velocity_kms <= 0.0 {
-            return Err(FqError::Config("rupture velocity must be positive".into()));
+        if !(self.rupture_velocity_kms.is_finite() && self.rupture_velocity_kms > 0.0) {
+            return Err(FqError::Config(
+                "rupture velocity must be finite and positive".into(),
+            ));
+        }
+        if !(self.onset_jitter.is_finite() && self.onset_jitter >= 0.0) {
+            return Err(FqError::Config(
+                "onset_jitter must be finite and non-negative".into(),
+            ));
         }
         if !(self.hurst > 0.0 && self.hurst <= 1.0) {
             return Err(FqError::Config("hurst must be in (0, 1]".into()));
@@ -421,6 +428,35 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn config_validation_rejects_non_finite_rupture_velocity() {
+        // NaN or +inf passed validation, and every onset became 0.0.
+        for rupture_velocity_kms in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let c = RuptureConfig {
+                rupture_velocity_kms,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "velocity {rupture_velocity_kms}");
+        }
+    }
+
+    #[test]
+    fn config_validation_rejects_nan_or_negative_onset_jitter() {
+        // Jitter was never checked: NaN scaled every onset by 0.2.
+        for onset_jitter in [f64::NAN, f64::INFINITY, -0.1] {
+            let c = RuptureConfig {
+                onset_jitter,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "onset_jitter {onset_jitter}");
+        }
+        let exact = RuptureConfig {
+            onset_jitter: 0.0,
+            ..Default::default()
+        };
+        assert!(exact.validate().is_ok(), "zero jitter is exact onsets");
     }
 
     #[test]

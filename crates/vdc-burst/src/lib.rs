@@ -3,15 +3,18 @@
 //! Reimplementation of the Python bursting simulator of Adair et al.,
 //! SC-W 2023 §3.1: replay a recorded DAGMan batch second by second,
 //! offload jobs to simulated Virtual Data Collaboratory (VDC) resources
-//! according to three OSG-tailored policies, and report instant
-//! throughput, runtime, VDC utilisation and cost.
+//! according to three OSG-tailored policies and the §6 future-work
+//! elastic controller, and report instant throughput, runtime, VDC
+//! utilisation and cost.
 //!
 //! * [`records`] — the two-CSV input format (batch times + per-job times),
 //!   parseable from `htcsim` run reports;
 //! * [`policy`] — Policy 1 (low throughput), Policy 2 (congested queue),
-//!   Policy 3 (submission gaps), plus the ≤30 % bursted-jobs cap;
+//!   Policy 3 (submission gaps), the elastic controller (VDC slots sized
+//!   by feedback on windowed throughput), and the ≤30 % bursted-jobs cap;
 //! * [`simulator`] — the per-second main loop with the paper's constant
-//!   VDC job times (rupture 287 s, waveform 144 s);
+//!   VDC job times (rupture 287 s, waveform 144 s) and one burst step for
+//!   all four policies;
 //! * [`report`] — the per-second throughput CSV and Fig. 5/6 sweep tables.
 //!
 //! ```
@@ -29,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod elastic;
 pub mod policy;
 pub mod records;
 pub mod report;
@@ -37,9 +39,8 @@ pub mod simulator;
 
 /// Glob import of the most-used types.
 pub mod prelude {
-    pub use crate::elastic::{simulate_elastic, ElasticOutcome, ElasticPolicy};
     pub use crate::policy::{
-        BurstPolicies, QueueTimePolicy, SubmissionGapPolicy, ThroughputPolicy,
+        BurstPolicies, ElasticPolicy, QueueTimePolicy, SubmissionGapPolicy, ThroughputPolicy,
     };
     pub use crate::records::{BatchInput, BatchRecord, JobPhase, JobRecord, RecordError};
     pub use crate::report::{format_sweep_table, sweep_csv, throughput_csv, SweepRow};

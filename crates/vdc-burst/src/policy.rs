@@ -1,4 +1,5 @@
-//! The three OSG-tailored bursting policies (§3.1.2).
+//! The three OSG-tailored bursting policies (§3.1.2) and the elastic
+//! controller of the paper's §6 future work.
 //!
 //! * **Policy 1** — low throughput: probe the batch's instant throughput
 //!   every `probe_secs`; once it has been armed (reached the threshold at
@@ -8,6 +9,11 @@
 //!   `max_queue_secs` are removed and bursted.
 //! * **Policy 3** — submission gaps: if no job has entered the queue for
 //!   `max_gap_secs`, periodically burst the last unsubmitted job.
+//! * **Elastic** — "scaling utilized VDC resources based on OSG's common
+//!   resources" (§6): a pool of VDC slots sized by proportional feedback
+//!   on the windowed completion throughput. Free slots (those no job
+//!   bursted by any policy holds) pull the longest-queued job, else the
+//!   last unsubmitted one.
 
 /// Policy 1 parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +70,36 @@ impl Default for SubmissionGapPolicy {
     }
 }
 
-/// The bursting configuration: any combination of the three policies plus
+/// Elastic controller parameters. Every control period, once its window
+/// is full (the analogue of Policy 1's arming), the controller moves its
+/// VDC slot target by `gain` times the throughput deficit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ElasticPolicy {
+    /// Throughput the controller tries to hold, jobs/minute.
+    pub target_jpm: f64,
+    /// Control period, seconds.
+    pub control_period_s: u64,
+    /// Proportional gain: slots added per JPM of throughput deficit.
+    pub gain: f64,
+    /// Hard cap on simulated VDC slots.
+    pub max_vdc_slots: usize,
+    /// Sliding window for the throughput measurement, seconds.
+    pub window_s: u64,
+}
+
+impl Default for ElasticPolicy {
+    fn default() -> Self {
+        Self {
+            target_jpm: 20.0,
+            control_period_s: 30,
+            gain: 1.0,
+            max_vdc_slots: 200,
+            window_s: 300,
+        }
+    }
+}
+
+/// The bursting configuration: any combination of the four policies plus
 /// an optional cap on the fraction of jobs bursted (the paper's cost
 /// experiment keeps it ≤ 30 %).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -75,6 +110,8 @@ pub struct BurstPolicies {
     pub queue_time: Option<QueueTimePolicy>,
     /// Policy 3 (submission gaps), if enabled.
     pub submission_gap: Option<SubmissionGapPolicy>,
+    /// The elastic controller, if enabled; it runs after Policies 1–3.
+    pub elastic: Option<ElasticPolicy>,
     /// Maximum fraction of total jobs that may be bursted (None =
     /// unlimited).
     pub max_burst_fraction: Option<f64>,
@@ -94,6 +131,7 @@ impl BurstPolicies {
                 check_secs: 60,
             }),
             submission_gap: None,
+            elastic: None,
             max_burst_fraction: None,
         }
     }
@@ -105,7 +143,10 @@ impl BurstPolicies {
 
     /// True when no policy is enabled.
     pub fn is_control(&self) -> bool {
-        self.throughput.is_none() && self.queue_time.is_none() && self.submission_gap.is_none()
+        self.throughput.is_none()
+            && self.queue_time.is_none()
+            && self.submission_gap.is_none()
+            && self.elastic.is_none()
     }
 }
 
@@ -131,5 +172,10 @@ mod tests {
     #[test]
     fn control_is_empty() {
         assert!(BurstPolicies::control().is_control());
+        let elastic = BurstPolicies {
+            elastic: Some(ElasticPolicy::default()),
+            ..Default::default()
+        };
+        assert!(!elastic.is_control());
     }
 }

@@ -110,6 +110,8 @@ mod tests {
             unfinished_jobs: 0,
             vdc_minutes: 60.0,
             cost_usd: 0.102,
+            peak_vdc_slots: 3,
+            mean_vdc_slots: 1.5,
         }
     }
 

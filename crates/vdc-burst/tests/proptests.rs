@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use vdc_burst::policy::{BurstPolicies, QueueTimePolicy, SubmissionGapPolicy, ThroughputPolicy};
+use vdc_burst::policy::{
+    BurstPolicies, ElasticPolicy, QueueTimePolicy, SubmissionGapPolicy, ThroughputPolicy,
+};
 use vdc_burst::records::{BatchInput, BatchRecord, JobPhase, JobRecord};
 use vdc_burst::simulator::{simulate, CLOUD_COST_PER_MIN};
 
@@ -52,9 +54,10 @@ fn arb_policies() -> impl Strategy<Value = BurstPolicies> {
         proptest::option::of((1u64..180, 0.1..100.0f64)),
         proptest::option::of((10u64..7200, 1u64..300)),
         proptest::option::of((10u64..3600, 1u64..300)),
+        proptest::option::of((0.0..60.0f64, 1u64..120, 0.0..4.0f64, 0usize..64, 1u64..900)),
         proptest::option::of(0.0..1.0f64),
     )
-        .prop_map(|(t, q, g, cap)| BurstPolicies {
+        .prop_map(|(t, q, g, e, cap)| BurstPolicies {
             throughput: t.map(|(probe_secs, threshold_jpm)| ThroughputPolicy {
                 probe_secs,
                 threshold_jpm,
@@ -67,6 +70,15 @@ fn arb_policies() -> impl Strategy<Value = BurstPolicies> {
                 max_gap_secs,
                 check_secs,
             }),
+            elastic: e.map(
+                |(target_jpm, control_period_s, gain, max_vdc_slots, window_s)| ElasticPolicy {
+                    target_jpm,
+                    control_period_s,
+                    gain,
+                    max_vdc_slots,
+                    window_s,
+                },
+            ),
             max_burst_fraction: cap,
         })
 }
@@ -75,8 +87,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Conservation: for complete records, completed + unfinished = total,
-    /// nothing goes unfinished, cost tracks VDC minutes exactly, and the
-    /// burst cap is honoured.
+    /// nothing goes unfinished, cost tracks VDC minutes exactly, every
+    /// charged VDC second is a second a slot was in flight, and the burst
+    /// cap is honoured.
     #[test]
     fn conservation_for_any_batch_and_policy(
         input in arb_batch(),
@@ -87,6 +100,17 @@ proptest! {
         prop_assert_eq!(out.unfinished_jobs, 0, "complete records always finish");
         prop_assert!(out.bursted_jobs <= out.total_jobs);
         prop_assert!((out.cost_usd - out.vdc_minutes * CLOUD_COST_PER_MIN).abs() < 1e-9);
+        let slot_seconds = out.mean_vdc_slots * out.instant_series.len() as f64;
+        prop_assert!((slot_seconds - out.vdc_minutes * 60.0).abs() < 1e-6 * slot_seconds.max(1.0));
+        prop_assert!(out.peak_vdc_slots <= out.bursted_jobs);
+        if let Some(p) = policies.elastic {
+            if policies.throughput.is_none()
+                && policies.queue_time.is_none()
+                && policies.submission_gap.is_none()
+            {
+                prop_assert!(out.peak_vdc_slots <= p.max_vdc_slots);
+            }
+        }
         if let Some(cap) = policies.max_burst_fraction {
             prop_assert!(
                 out.bursted_jobs as f64 <= (cap * out.total_jobs as f64).floor() + 1e-9
@@ -106,6 +130,14 @@ proptest! {
             out.runtime_secs,
             input.batch.runtime_secs()
         );
+    }
+
+    /// Identical inputs give identical outcomes, field for field.
+    #[test]
+    fn replay_is_deterministic(input in arb_batch(), policies in arb_policies()) {
+        let a = simulate(&input, &policies).unwrap();
+        let b = simulate(&input, &policies).unwrap();
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     /// The control exactly replays the record.

@@ -1,6 +1,7 @@
 //! Bursting policies: record a real (simulated-OSG) FDW batch, export it
 //! to the two-CSV format of the paper's bursting simulator, then compare
-//! the three OSG-tailored policies against the control.
+//! the three OSG-tailored policies and the elastic controller against the
+//! control.
 //!
 //! Run with: `cargo run --release --example bursting_policies`
 
@@ -79,6 +80,14 @@ fn main() {
                     check_secs: 60,
                 }),
                 max_burst_fraction: Some(0.30),
+                ..Default::default()
+            },
+        ),
+        (
+            "elastic controller, 20 JPM target",
+            BurstPolicies {
+                elastic: Some(ElasticPolicy::default()),
+                ..Default::default()
             },
         ),
     ];
