@@ -27,7 +27,7 @@
 //!
 //! The transcendental helpers [`fq_exp`] / [`fq_cosh`] are branch-free
 //! polynomial implementations with a fixed evaluation order, so laned
-//! quadrature (four abscissae at a time) computes bit-for-bit the same
+//! quadrature (eight abscissae at a time) computes bit-for-bit the same
 //! value a one-lane call computes — something libm cannot promise across
 //! glibc versions, let alone across lane positions.
 
@@ -334,7 +334,7 @@ const SHIFTER: f64 = 6_755_399_441_055_744.0;
 /// bitwise. Inputs beyond ±708 are clamped (the clamp range still maps
 /// to 0-adjacent subnormal-free results: e^-708 ~ 3e-308); NaN
 /// propagates. Every operation (clamp, shifter round, Horner, bit
-/// assembly) is straight-line vectorizable code, so a 4-lane caller
+/// assembly) is straight-line vectorizable code, so a laned caller
 /// autovectorizes.
 #[inline(always)]
 pub fn fq_exp(x: f64) -> f64 {

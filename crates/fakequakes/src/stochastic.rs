@@ -172,12 +172,22 @@ impl CorrelatedField {
     }
 }
 
+/// Kernel evaluations per batch of [`assemble_covariance`]. Eight lanes
+/// give each loop-carried chain of the Bessel quadrature (the two cosh
+/// recurrences and the running Simpson sum) two independent AVX2 vectors;
+/// four leave the chains latency-bound, sixteen measured no faster
+/// (DESIGN.md §13).
+const COV_LANES: usize = 8;
+
 /// Assemble the von Kármán correlation matrix over a symmetric distance
 /// matrix, evaluating the kernel for the **upper half only** and
 /// mirroring — the kernel's fractional-order Bessel quadrature is the
 /// expensive part, and `correlation(d_ij)` ≡ `correlation(d_ji)` because
 /// the distance matrix is exactly symmetric. Rows of the upper triangle
-/// fan out across threads; the result is byte-identical to
+/// fan out across threads; each leaf walks its pairs row-major across
+/// row boundaries and feeds them eight at a time to the laned kernel
+/// ([`crate::vonkarman::von_karman_lanes`]). Every lane computes the bits
+/// the one-lane path computes, so the result is byte-identical to
 /// [`assemble_covariance_seq`].
 pub fn assemble_covariance(distances: &Matrix, kernel: &VonKarman) -> Matrix {
     let n = distances.rows();
@@ -188,26 +198,27 @@ pub fn assemble_covariance(distances: &Matrix, kernel: &VonKarman) -> Matrix {
     {
         let data = cov.as_mut_slice();
         let chunk = par::chunk_for(n, 4) * n;
-        par::for_each_chunk(data, chunk, |start, rows_chunk| {
+        par::for_each_chunk(data, chunk, |start, leaf| {
             let first_row = start / n;
-            for (r, row) in rows_chunk.chunks_mut(n).enumerate() {
+            // Distances of the pending batch and their offsets in `leaf`.
+            let mut batch = [0.0; COV_LANES];
+            let mut slot = [0usize; COV_LANES];
+            let mut fill = 0;
+            for r in 0..leaf.len() / n {
                 let i = first_row + r;
-                row[i] = 1.0;
-                // Full quads of the row tail go through the 4-lane
-                // kernel batch; the j-remainder falls back to the
-                // scalar path, which computes identical bits per lane
-                // (see vonkarman::bessel_k_frac_lanes).
-                let drow = distances.row(i);
-                let quad_end = i + 1 + (n - i - 1) / 4 * 4;
-                let mut j = i + 1;
-                while j < quad_end {
-                    let c = kernel.correlation_x4([drow[j], drow[j + 1], drow[j + 2], drow[j + 3]]);
-                    row[j..j + 4].copy_from_slice(&c);
-                    j += 4;
+                leaf[r * n + i] = 1.0;
+                for (j, &d) in distances.row(i).iter().enumerate().skip(i + 1) {
+                    batch[fill] = d;
+                    slot[fill] = r * n + j;
+                    fill += 1;
+                    if fill == COV_LANES {
+                        store_batch(leaf, kernel, batch, &slot[..fill]);
+                        fill = 0;
+                    }
                 }
-                for jj in quad_end..n {
-                    row[jj] = kernel.correlation(drow[jj]);
-                }
+            }
+            if fill > 0 {
+                store_batch(leaf, kernel, batch, &slot[..fill]);
             }
         });
         // Mirror the computed upper half into the lower half (cheap
@@ -219,6 +230,18 @@ pub fn assemble_covariance(distances: &Matrix, kernel: &VonKarman) -> Matrix {
         }
     }
     cov
+}
+
+/// Evaluate one batch of [`assemble_covariance`] and store lane `l` at
+/// `leaf[slot[l]]`. A partial batch (the leaf's last) pads its unused
+/// lanes with a copy of its first distance and discards them.
+fn store_batch(leaf: &mut [f64], kernel: &VonKarman, mut batch: [f64; COV_LANES], slot: &[usize]) {
+    let first = batch[0];
+    batch[slot.len()..].fill(first);
+    let c = kernel.correlation_lanes(batch);
+    for (&s, v) in slot.iter().zip(c) {
+        leaf[s] = v;
+    }
 }
 
 /// Sequential full-matrix covariance assembly (scalar kernel path,

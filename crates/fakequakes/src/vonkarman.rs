@@ -48,17 +48,16 @@ impl VonKarman {
     ///
     /// `C(r) = G_H(r/a)` with `G_H(0) = 1`, monotonically decreasing.
     pub fn correlation(&self, r_km: f64) -> f64 {
-        let a = (self.a_strike_km * self.a_dip_km).sqrt();
-        let x = (r_km / a).max(0.0);
-        von_karman_kernel(x, self.hurst)
+        self.correlation_lanes([r_km])[0]
     }
 
-    /// Four isotropic correlations at once: the lane-batched entry
-    /// `assemble_covariance` uses for full quads of a covariance row.
-    /// Lane `l` is bitwise equal to `self.correlation(r_km[l])`.
-    pub fn correlation_x4(&self, r_km: [f64; 4]) -> [f64; 4] {
+    /// `L` isotropic correlations at once, through [`von_karman_lanes`]:
+    /// the batch entry `assemble_covariance` feeds eight distances at a
+    /// time. Lane `l` is bitwise equal to `self.correlation(r_km[l])`,
+    /// which is the one-lane instantiation.
+    pub(crate) fn correlation_lanes<const L: usize>(&self, r_km: [f64; L]) -> [f64; L] {
         let a = (self.a_strike_km * self.a_dip_km).sqrt();
-        von_karman_kernel_x4(r_km.map(|r| (r / a).max(0.0)), self.hurst)
+        von_karman_lanes(r_km.map(|r| (r / a).max(0.0)), self.hurst)
     }
 
     /// Anisotropic correlation for separations expressed in the fault's
@@ -74,24 +73,18 @@ impl VonKarman {
 /// with `G_H(0) = 1`.
 ///
 /// The one-lane instantiation of [`von_karman_lanes`]: bitwise equal to
-/// lane `l` of [`von_karman_kernel_x4`] by construction, because the
+/// lane `l` of any wider instantiation by construction, because the
 /// lane loop carries no cross-lane operations.
 pub fn von_karman_kernel(x: f64, hurst: f64) -> f64 {
     von_karman_lanes([x], hurst)[0]
 }
 
-/// Four kernel evaluations at once — the batch entry
-/// `assemble_covariance` feeds with quads of distances so the Bessel
-/// quadrature's exp/cosh work runs 4-wide.
-pub fn von_karman_kernel_x4(xs: [f64; 4], hurst: f64) -> [f64; 4] {
-    von_karman_lanes(xs, hurst)
-}
-
-/// Generic-lane von Kármán kernel. Out-of-range abscissae (`x <= 0`
-/// maps to 1, `x > 60` to 0) are substituted with a safe `x = 1` before
-/// the quadrature and patched afterwards, so a mixed quad still runs
-/// every lane through the same instruction stream.
-fn von_karman_lanes<const L: usize>(xs: [f64; L], hurst: f64) -> [f64; L] {
+/// Generic-lane von Kármán kernel: `L` abscissae, one shared Hurst
+/// exponent. Out-of-range abscissae (`x <= 0` maps to 1, `x > 60` to 0)
+/// are substituted with a safe `x = 1` before the quadrature and patched
+/// afterwards, so a mixed batch still runs every lane through the same
+/// instruction stream.
+pub fn von_karman_lanes<const L: usize>(xs: [f64; L], hurst: f64) -> [f64; L] {
     let h = hurst.clamp(0.01, 1.0);
     let mut safe = xs;
     for v in &mut safe {
@@ -264,20 +257,16 @@ pub fn bessel_i1(x: f64) -> f64 {
 /// argument range a correlation kernel sees.
 ///
 /// The one-lane instantiation of [`bessel_k_frac_lanes`] — the scalar
-/// path and the 4-lane batch compute identical bits per abscissa.
+/// path and any wider batch compute identical bits per abscissa.
 pub fn bessel_k_fractional(nu: f64, x: f64) -> f64 {
     bessel_k_frac_lanes(nu, [x])[0]
-}
-
-/// Four `K_ν` evaluations at once (shared order `ν`, four abscissae).
-pub fn bessel_k_fractional_x4(nu: f64, xs: [f64; 4]) -> [f64; 4] {
-    bessel_k_frac_lanes(nu, xs)
 }
 
 /// Simpson panel count of the `K_ν` quadrature (even, fixed).
 const KNU_PANELS: usize = 400;
 
-/// Generic-lane Simpson quadrature for `K_ν`.
+/// Generic-lane Simpson quadrature for `K_ν` (shared order `ν`, `L`
+/// abscissae).
 ///
 /// Three things make this the hot-path form (DESIGN.md §13):
 ///
@@ -287,9 +276,9 @@ const KNU_PANELS: usize = 400;
 ///    per node is one [`simd::fq_exp`] — down from an exp and two coshes.
 /// 2. **Lane-parallel evaluation.** All per-node work is an `l`-indexed
 ///    elementwise loop with no cross-lane data flow, which LLVM
-///    autovectorizes at `L = 4` — and which guarantees the `L = 1`
-///    instantiation computes bit-for-bit the lane-`l` value of the
-///    `L = 4` one.
+///    autovectorizes at `L = 8` (two AVX2 vectors per loop-carried
+///    chain) — and which guarantees the `L = 1` instantiation computes
+///    bit-for-bit the lane-`l` value of the `L = 8` one.
 /// 3. **Fixed accumulation order.** Per lane: `f(0)`, then the interior
 ///    nodes ascending with their Simpson weights, then the `t_max`
 ///    endpoint taken from the recurrence (not a fresh `cosh(t_max)`),
@@ -298,7 +287,7 @@ const KNU_PANELS: usize = 400;
 ///
 /// Non-positive abscissae are substituted with `x = 1` and patched to
 /// `K_ν(x ≤ 0) = ∞` afterwards.
-fn bessel_k_frac_lanes<const L: usize>(nu: f64, xs: [f64; L]) -> [f64; L] {
+pub fn bessel_k_frac_lanes<const L: usize>(nu: f64, xs: [f64; L]) -> [f64; L] {
     let nu = nu.clamp(0.0, 1.0);
     let mut x = xs;
     for v in &mut x {
@@ -519,11 +508,11 @@ mod tests {
 
     #[test]
     fn laned_quadrature_matches_scalar_bitwise() {
-        // The x4 batch must compute exactly the scalar path per lane,
-        // including out-of-range lanes mixed into a quad.
+        // The 8-lane batch must compute exactly the scalar path per lane,
+        // including out-of-range lanes mixed into the batch.
         for nu in [0.0, 0.25, 0.75, 1.0] {
-            let xs = [0.3, 7.0, 0.001, 42.0];
-            let batch = bessel_k_fractional_x4(nu, xs);
+            let xs = [0.3, 7.0, 0.001, 42.0, 0.0, 1.5, -2.0, 59.9];
+            let batch = bessel_k_frac_lanes(nu, xs);
             for (l, x) in xs.into_iter().enumerate() {
                 assert_eq!(
                     batch[l].to_bits(),
@@ -532,8 +521,8 @@ mod tests {
                 );
             }
         }
-        let mixed = [-1.0, 0.5, 61.0, 3.0];
-        let batch = von_karman_kernel_x4(mixed, 0.75);
+        let mixed = [-1.0, 0.5, 61.0, 3.0, 0.0, 60.0, 1e-3, 1e9];
+        let batch = von_karman_lanes(mixed, 0.75);
         for (l, x) in mixed.into_iter().enumerate() {
             assert_eq!(
                 batch[l].to_bits(),
@@ -543,7 +532,7 @@ mod tests {
         }
         assert_eq!(batch[0], 1.0, "x <= 0 patches to 1");
         assert_eq!(batch[2], 0.0, "x > 60 patches to 0");
-        assert_eq!(bessel_k_fractional_x4(0.5, [0.0; 4]), [f64::INFINITY; 4]);
+        assert_eq!(bessel_k_frac_lanes(0.5, [0.0; 8]), [f64::INFINITY; 8]);
     }
 
     #[test]
@@ -568,10 +557,10 @@ mod tests {
     }
 
     #[test]
-    fn correlation_x4_matches_scalar_bitwise() {
+    fn correlation_lanes_match_scalar_bitwise() {
         let vk = VonKarman::default();
-        let rs = [0.0, 3.0, 12.5, 700.0];
-        let batch = vk.correlation_x4(rs);
+        let rs = [0.0, 3.0, 12.5, 700.0, -4.0, 0.2, 48.0, 1270.0];
+        let batch = vk.correlation_lanes(rs);
         for (l, r) in rs.into_iter().enumerate() {
             assert_eq!(batch[l].to_bits(), vk.correlation(r).to_bits(), "lane {l}");
         }

@@ -5,12 +5,14 @@
 //!
 //! 1. every laned/blocked kernel is **bitwise identical** to its scalar
 //!    reference twin — at small sizes, at the acceptance scale (n = 240),
-//!    and at sizes that exercise the remainder lanes (n ≢ 0 mod 4);
+//!    and at sizes that exercise the remainder lanes (n ≢ 0 mod 4, and
+//!    pair counts ≢ 0 mod 8 for the covariance batches);
 //! 2. results are **invariant to the thread count**: the same kernels run
 //!    under rayon pools of 1, 2 and 8 threads (the FDW_THREADS settings
 //!    the suite maps onto rayon) fold identical digests;
-//! 3. the laned Bessel quadrature agrees with its scalar instantiation
-//!    lane-for-lane, including out-of-range substitution lanes.
+//! 3. the 8-lane Bessel quadrature and von Kármán kernel agree with their
+//!    scalar instantiations lane-for-lane, including out-of-range
+//!    substitution lanes (x ≤ 0 and x > 60) mixed into a batch.
 
 use fakequakes::distance::DistanceMatrices;
 use fakequakes::geometry::FaultModel;
@@ -18,7 +20,9 @@ use fakequakes::linalg::Matrix;
 use fakequakes::simd;
 use fakequakes::stations::{ChileanInput, StationNetwork};
 use fakequakes::stochastic::{assemble_covariance, assemble_covariance_seq};
-use fakequakes::vonkarman::{bessel_k_fractional, bessel_k_fractional_x4, VonKarman};
+use fakequakes::vonkarman::{
+    bessel_k_frac_lanes, bessel_k_fractional, von_karman_kernel, von_karman_lanes, VonKarman,
+};
 use fdw_obs::digest::{fnv1a_word, DIGEST_INIT};
 use proptest::prelude::*;
 
@@ -80,19 +84,37 @@ proptest! {
 
     #[test]
     fn laned_bessel_matches_scalar_lane_for_lane(
-        x0 in 0.01f64..50.0, x1 in 0.01f64..50.0,
-        x2 in 0.01f64..50.0, x3 in 0.01f64..50.0,
+        xs in proptest::collection::vec(abscissa(), 8),
         hurst in 0.05f64..0.95,
     ) {
-        let xs = [x0, x1, x2, x3];
-        let lanes = bessel_k_fractional_x4(hurst, xs);
-        for l in 0..4 {
+        let xs: [f64; 8] = xs.try_into().unwrap();
+        let bessel = bessel_k_frac_lanes(hurst, xs);
+        let kernel = von_karman_lanes(xs, hurst);
+        for l in 0..8 {
             prop_assert_eq!(
-                lanes[l].to_bits(),
+                bessel[l].to_bits(),
                 bessel_k_fractional(hurst, xs[l]).to_bits()
+            );
+            prop_assert_eq!(
+                kernel[l].to_bits(),
+                von_karman_kernel(xs[l], hurst).to_bits()
             );
         }
     }
+}
+
+/// Kernel abscissae, three in eight of them out of range: `x = 0` or
+/// `x < 0` (patched to 1) or `x > 60` (patched to 0), so most batches mix
+/// substituted lanes with quadrature lanes.
+fn abscissa() -> impl Strategy<Value = f64> {
+    (0usize..8, 0.01f64..60.0, -50.0f64..0.0, 60.001f64..400.0).prop_map(
+        |(pick, x, negative, far)| match pick {
+            0 => 0.0,
+            1 => negative,
+            2 => far,
+            _ => x,
+        },
+    )
 }
 
 /// The acceptance scale plus the sizes that stress remainder lanes:
@@ -122,8 +144,9 @@ fn kernels_match_reference_bitwise_at_acceptance_scale() {
     }
 }
 
-/// Covariance assembly on a mesh whose row remainders are ≢ 0 mod 4 —
-/// every row of the upper triangle ends in a partial quad somewhere.
+/// Covariance assembly on a mesh of 63 subfaults (1953 pairs, ≡ 1 mod 8):
+/// every parallel leaf's batches straddle row boundaries and end in a
+/// partial batch.
 #[test]
 fn covariance_matches_scalar_oracle_on_odd_mesh() {
     let fault = FaultModel::chilean_subduction(9, 7).unwrap(); // n = 63

@@ -148,6 +148,36 @@ impl BurstPolicies {
             && self.submission_gap.is_none()
             && self.elastic.is_none()
     }
+
+    /// Reject, with an error that names the field, the parameters a
+    /// replay cannot use: a zero elastic control period or window, a
+    /// non-finite elastic target or gain, a NaN throughput threshold, and
+    /// a NaN or negative burst cap. A zero elastic target (never burst)
+    /// and a non-positive throughput threshold (armed from the start) are
+    /// valid settings.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if let Some(p) = self.throughput {
+            if p.threshold_jpm.is_nan() {
+                return Err("throughput threshold_jpm must be a number, got NaN".into());
+            }
+        }
+        if let Some(p) = self.elastic {
+            if p.control_period_s == 0 || p.window_s == 0 {
+                return Err("elastic control_period_s and window_s must be positive".into());
+            }
+            for (field, v) in [("target_jpm", p.target_jpm), ("gain", p.gain)] {
+                if !v.is_finite() {
+                    return Err(format!("elastic {field} must be finite, got {v}"));
+                }
+            }
+        }
+        match self.max_burst_fraction {
+            Some(f) if f.is_nan() || f < 0.0 => Err(format!(
+                "max_burst_fraction must be a non-negative number, got {f}"
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -84,11 +84,7 @@ pub const CLOUD_COST_PER_MIN: f64 = 0.0017;
 /// burst step, so `max_burst_fraction` bounds every policy.
 pub fn simulate(input: &BatchInput, policies: &BurstPolicies) -> Result<BurstOutcome, String> {
     input.validate()?;
-    if let Some(p) = policies.elastic {
-        if p.control_period_s == 0 || p.window_s == 0 {
-            return Err("elastic control period and window must be positive".into());
-        }
-    }
+    policies.validate()?;
     let t0 = input.batch.submit_s;
     let n = input.jobs.len();
     let mut replay = Replay {
@@ -707,6 +703,75 @@ mod tests {
             })
         )
         .is_err());
+    }
+
+    /// Assert that `simulate` rejects `policies` with an error naming `field`.
+    fn rejected(policies: &BurstPolicies, field: &str) {
+        let err = simulate(&elastic_batch(5), policies).unwrap_err();
+        assert!(err.contains(field), "{err:?} does not name {field}");
+    }
+
+    #[test]
+    fn elastic_non_finite_target_rejected() {
+        for target_jpm in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            rejected(
+                &elastic(ElasticPolicy {
+                    target_jpm,
+                    ..Default::default()
+                }),
+                "target_jpm",
+            );
+        }
+    }
+
+    #[test]
+    fn elastic_non_finite_gain_rejected() {
+        for gain in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            rejected(
+                &elastic(ElasticPolicy {
+                    gain,
+                    ..Default::default()
+                }),
+                "gain",
+            );
+        }
+    }
+
+    #[test]
+    fn nan_throughput_threshold_rejected() {
+        let throughput = |threshold_jpm| BurstPolicies {
+            throughput: Some(ThroughputPolicy {
+                probe_secs: 10,
+                threshold_jpm,
+            }),
+            ..Default::default()
+        };
+        rejected(&throughput(f64::NAN), "threshold_jpm");
+        // A non-positive threshold still means "armed from the start".
+        for threshold_jpm in [0.0, -5.0] {
+            assert!(simulate(&elastic_batch(5), &throughput(threshold_jpm)).is_ok());
+        }
+    }
+
+    #[test]
+    fn nan_or_negative_burst_cap_rejected() {
+        for cap in [f64::NAN, -0.1, f64::NEG_INFINITY] {
+            rejected(
+                &BurstPolicies {
+                    max_burst_fraction: Some(cap),
+                    ..BurstPolicies::paper_sweep(5, 90)
+                },
+                "max_burst_fraction",
+            );
+        }
+        let zero_cap = BurstPolicies {
+            max_burst_fraction: Some(0.0),
+            ..BurstPolicies::paper_sweep(5, 90)
+        };
+        assert_eq!(
+            simulate(&elastic_batch(5), &zero_cap).unwrap().bursted_jobs,
+            0
+        );
     }
 
     #[test]

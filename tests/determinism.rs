@@ -283,6 +283,29 @@ fn parallel_covariance_and_distance_npy_bytes_match_sequential() {
 }
 
 #[test]
+fn covariance_batches_match_sequential_at_every_pair_residue() {
+    // The assembly feeds the kernel eight upper-triangle pairs at a time
+    // and pads each leaf's last batch. The pair counts n(n-1)/2 of
+    // n = 1..=8 take every residue mod 8, so that batch holds every live
+    // lane count. A single down-dip column keeps every separation inside
+    // the kernel's quadrature range.
+    use fdw_suite::fakequakes::{stochastic, vonkarman::VonKarman};
+    let kernel = VonKarman::default();
+    let net = StationNetwork::chilean(4, 3).unwrap();
+    let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut residues = std::collections::BTreeSet::new();
+    for n in 1..=8usize {
+        let fault = FaultModel::chilean_subduction(1, n).unwrap();
+        let d = DistanceMatrices::compute(&fault, &net).subfault_to_subfault;
+        let par = stochastic::assemble_covariance(&d, &kernel);
+        let seq = stochastic::assemble_covariance_seq(&d, &kernel);
+        assert_eq!(bits(par.as_slice()), bits(seq.as_slice()), "n = {n}");
+        residues.insert(n * (n - 1) / 2 % 8);
+    }
+    assert_eq!(residues.len(), 8, "pair counts must cover every residue");
+}
+
+#[test]
 fn parallel_waveform_mseed_bytes_match_sequential() {
     use fdw_suite::fakequakes::{artifacts, mseed::MseedFile, waveform};
     use fdw_suite::fdw_obs::digest::{digest_fold, DIGEST_INIT};
