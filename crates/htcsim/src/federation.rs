@@ -282,15 +282,6 @@ impl Federation {
         self.machine_pool.remove(&machine.0);
     }
 
-    /// Machines currently assigned to `pool`, in id order.
-    pub fn machines_in(&self, pool: u32) -> Vec<MachineId> {
-        self.machine_pool
-            .iter()
-            .filter(|(_, &p)| p == pool)
-            .map(|(&m, _)| MachineId(m))
-            .collect()
-    }
-
     /// Is this the cloud (preemptible) pool?
     pub fn is_cloud(&self, pool: u32) -> bool {
         self.pools[pool as usize].spec.class == PoolClass::Cloud
