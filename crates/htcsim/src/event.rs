@@ -64,6 +64,23 @@ impl PartialOrd for EventKey {
     }
 }
 
+/// One step of a job's attempt, scheduled for when it falls due.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobStep {
+    /// Input staging finished; the job starts executing.
+    StageInDone,
+    /// The executable finished; output staging starts.
+    ExecDone,
+    /// Output staging finished; the job is complete.
+    StageOutDone,
+    /// The hold period expired; the job goes back to Idle.
+    Release,
+    /// The running attempt hit its wall-time limit; hold, then remove.
+    Timeout,
+    /// Spot reclamation kills the running cloud-pool attempt.
+    Preempt,
+}
+
 /// Everything that can happen in the cluster simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
@@ -73,20 +90,18 @@ pub enum Event {
     MachineDepart(MachineId),
     /// The negotiator runs a matchmaking cycle.
     Negotiate,
-    /// Input staging for a job finished; it starts executing.
-    StageInDone(JobId),
-    /// A job's executable finished; output staging starts.
-    ExecDone(JobId),
-    /// Output staging finished; the job is complete.
-    StageOutDone(JobId),
-    /// A held job's hold period expired; release it back to Idle. The
-    /// `u64` is the job serial at hold time — a stale release (the job
-    /// moved on) is ignored.
-    Release(JobId, u64),
-    /// A running job hit its wall-time limit; hold then remove it. The
-    /// `u64` is the job serial at execute time — stale timeouts (the
-    /// attempt already ended) are ignored.
-    Timeout(JobId, u64),
+    /// `step` of `job` falls due. `serial` is the job's serial when the
+    /// step was scheduled. Every state change bumps the serial, so the
+    /// cluster acts on the event only if the job still has it: an event
+    /// of an attempt that has since ended or moved on is dropped.
+    Job {
+        /// The job.
+        job: JobId,
+        /// The job's serial when the step was scheduled.
+        serial: u64,
+        /// What falls due.
+        step: JobStep,
+    },
     /// A whole-pool outage window opens for the given pool index.
     PoolOutageStart(u32),
     /// The outage window for the given pool index closes.
@@ -95,10 +110,6 @@ pub enum Event {
     PartitionStart(u32),
     /// The partition for the given pool index heals.
     PartitionEnd(u32),
-    /// Spot reclamation kills a running cloud-pool job mid-attempt. The
-    /// `u64` is the job serial at execute time — stale preemptions (the
-    /// attempt already ended) are ignored.
-    Preempt(JobId, u64),
 }
 
 #[derive(Debug)]
@@ -244,12 +255,21 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    /// A stage-in completion of job `j`, scheduled at serial 0.
+    fn stage_in(j: u64) -> Event {
+        Event::Job {
+            job: JobId(j),
+            serial: 0,
+            step: JobStep::StageInDone,
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(SimTime(30), Event::Negotiate);
         q.push(SimTime(10), Event::MachineArrive);
-        q.push(SimTime(20), Event::ExecDone(JobId(1)));
+        q.push(SimTime(20), stage_in(1));
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(SimTime(10)));
         assert_eq!(q.pop().unwrap().0, SimTime(10));
@@ -264,37 +284,25 @@ mod tests {
         // The explicit contract: same-time events pop by (lane, seq),
         // not by heap sift order or global insertion order.
         let mut q = EventQueue::new();
-        q.push_lane(SimTime(5), LaneId(2), Event::StageInDone(JobId(20)));
-        q.push_lane(SimTime(5), LaneId(1), Event::StageInDone(JobId(10)));
-        q.push_lane(SimTime(5), LaneId(1), Event::StageInDone(JobId(11)));
+        q.push_lane(SimTime(5), LaneId(2), stage_in(20));
+        q.push_lane(SimTime(5), LaneId(1), stage_in(10));
+        q.push_lane(SimTime(5), LaneId(1), stage_in(11));
         q.push_lane(SimTime(5), LaneId(0), Event::Negotiate);
         let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|p| p.1)).collect();
         assert_eq!(
             order,
-            vec![
-                Event::Negotiate,
-                Event::StageInDone(JobId(10)),
-                Event::StageInDone(JobId(11)),
-                Event::StageInDone(JobId(20)),
-            ]
+            vec![Event::Negotiate, stage_in(10), stage_in(11), stage_in(20),]
         );
     }
 
     #[test]
     fn same_lane_ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime(5), Event::StageInDone(JobId(1)));
-        q.push(SimTime(5), Event::StageInDone(JobId(2)));
-        q.push(SimTime(5), Event::StageInDone(JobId(3)));
+        q.push(SimTime(5), stage_in(1));
+        q.push(SimTime(5), stage_in(2));
+        q.push(SimTime(5), stage_in(3));
         let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|p| p.1)).collect();
-        assert_eq!(
-            order,
-            vec![
-                Event::StageInDone(JobId(1)),
-                Event::StageInDone(JobId(2)),
-                Event::StageInDone(JobId(3)),
-            ]
-        );
+        assert_eq!(order, vec![stage_in(1), stage_in(2), stage_in(3),]);
     }
 
     #[test]
@@ -316,7 +324,7 @@ mod tests {
             .map(|i| {
                 let t = (i * 7) % 23;
                 let lane = (i * 13) % 5;
-                (t, lane as u32, Event::StageInDone(JobId(i)))
+                (t, lane as u32, stage_in(i))
             })
             .collect();
         let run = |shards: usize| -> Vec<(EventKey, Event)> {

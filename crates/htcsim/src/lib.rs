@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::cluster::{Cluster, ClusterConfig, PoolSample, RunReport, WorkloadDriver};
     pub use crate::condor_log::{parse_condor_log, to_condor_log};
     pub use crate::des::{EngineReport, LaneModel, ShardedEngine, SynthConfig};
-    pub use crate::event::{Event, EventKey, EventQueue, LaneId};
+    pub use crate::event::{Event, EventKey, EventQueue, JobStep, LaneId};
     pub use crate::fault::{FaultConfig, FaultPlan, HoldReason, PoolFaultConfig};
     pub use crate::federation::{
         Federation, FederationConfig, FederationStats, PoolClass, PoolId, PoolSpec,

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::cmp::Ordering;
 
 use htcsim::csvlite;
-use htcsim::event::{Event, EventKey, EventQueue, LaneId};
+use htcsim::event::{Event, EventKey, EventQueue, JobStep, LaneId};
 use htcsim::job::{JobEvent, JobEventKind, JobId, JobSpec, OwnerId};
 use htcsim::pool::{Pool, PoolConfig};
 use htcsim::single::SingleMachine;
@@ -70,7 +70,7 @@ proptest! {
         let mut mono = EventQueue::new();
         let mut sharded = EventQueue::with_shards(shards);
         for (i, &(t, lane)) in pushes.iter().enumerate() {
-            let ev = Event::StageInDone(JobId(i as u64));
+            let ev = Event::Job { job: JobId(i as u64), serial: 0, step: JobStep::StageInDone };
             mono.push_lane(SimTime(t), LaneId(lane), ev);
             sharded.push_lane(SimTime(t), LaneId(lane), ev);
         }
@@ -276,6 +276,53 @@ proptest! {
             prop_assert!(jt.completed.is_some());
             prop_assert!(jt.first_execute.unwrap() >= jt.submitted);
             prop_assert!(jt.completed.unwrap() >= jt.first_execute.unwrap());
+        }
+    }
+
+    /// Evictions cost the work they destroy: whatever the glidein churn,
+    /// every completed job ran its full execution time after its last
+    /// execute start (machines of speed 1, so at least its runtime). An
+    /// evicted attempt's pending events never end the next attempt.
+    #[test]
+    fn evicted_jobs_rerun_their_full_execution(
+        lifetime in 400.0..4_000.0f64,
+        seed in any::<u64>(),
+    ) {
+        use htcsim::cluster::{Cluster, ClusterConfig};
+        use htcsim::job::SubmitRequest;
+        use htcsim::scenarios::Bag;
+
+        let cfg = ClusterConfig {
+            pool: PoolConfig {
+                target_slots: 16,
+                glidein_slots: 4,
+                glidein_lifetime_s: lifetime,
+                avail_mean: 1.0,
+                avail_sigma: 0.0,
+                speed_sigma: 0.0,
+                ..Default::default()
+            },
+            ..ClusterConfig::with_cache()
+        };
+        let n = 30;
+        let requests = (0..n)
+            .map(|i| SubmitRequest { owner: OwnerId(0), spec: JobSpec::fixed(format!("j{i}"), 400.0) })
+            .collect();
+        let report = Cluster::new(cfg, seed).run(&mut Bag::from_requests(requests));
+        prop_assert!(!report.timed_out);
+        prop_assert_eq!(report.completed, n);
+        let mut started = std::collections::BTreeMap::new();
+        for e in report.log.events() {
+            match e.kind {
+                JobEventKind::ExecuteStarted => {
+                    started.insert(e.job, e.time);
+                }
+                JobEventKind::Completed => {
+                    let ran = e.time.since(started[&e.job]);
+                    prop_assert!(ran >= 400, "{:?} completed {} s after its last start", e.job, ran);
+                }
+                _ => {}
+            }
         }
     }
 }
