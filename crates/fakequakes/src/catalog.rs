@@ -1,5 +1,5 @@
 //! Batch ("catalog") generation: run the full FakeQuakes pipeline for many
-//! scenarios on one machine, in parallel with Rayon.
+//! scenarios on one machine, in parallel through [`crate::par`].
 //!
 //! This is the *live compute* path: what a single FDW job executes on an
 //! OSG node, and what the single-machine AWS baseline in §3.1 of the paper
@@ -7,12 +7,11 @@
 //! simulated time; this module is the ground truth the cost model is
 //! calibrated against.
 
-use rayon::prelude::*;
-
 use crate::distance::DistanceMatrices;
 use crate::error::FqResult;
 use crate::geometry::FaultModel;
 use crate::greens::GfLibrary;
+use crate::par;
 use crate::rupture::{RuptureConfig, RuptureGenerator, RuptureScenario};
 use crate::stations::StationNetwork;
 use crate::stochastic::{field_stats, FactorCache};
@@ -113,27 +112,24 @@ pub fn generate_catalog(
     )?;
 
     // Scenario generation is embarrassingly parallel — the property the
-    // whole paper builds on.
-    let scenarios: Vec<RuptureScenario> = (0..n_scenarios)
-        // fdwlint::allow(raw-parallelism): ordered indexed map — each scenario is a pure function of its index and collect preserves order, so parallel == sequential bitwise
-        .into_par_iter()
-        .map(|id| generator.generate(seed, id))
-        .collect();
+    // whole paper builds on. Each scenario is a pure function of its
+    // index, so the ordered map is bitwise the sequential one.
+    let scenarios: Vec<RuptureScenario> = par::map_indexed(n_scenarios as usize, 1, |id| {
+        generator.generate(seed, id as u64)
+    });
 
-    let waveforms: Vec<Vec<GnssWaveform>> = scenarios
-        // fdwlint::allow(raw-parallelism): ordered indexed map over an already-ordered Vec; collect preserves order, so parallel == sequential bitwise
-        .par_iter()
-        .map(|sc| {
-            synthesize_all_stations(
-                fault,
-                &gfs,
-                &distances.station_to_subfault,
-                sc,
-                &waveform_config,
-                seed,
-            )
-        })
-        .collect::<FqResult<_>>()?;
+    let waveforms: Vec<Vec<GnssWaveform>> = par::map_indexed(scenarios.len(), 1, |i| {
+        synthesize_all_stations(
+            fault,
+            &gfs,
+            &distances.station_to_subfault,
+            &scenarios[i],
+            &waveform_config,
+            seed,
+        )
+    })
+    .into_iter()
+    .collect::<FqResult<_>>()?;
 
     Ok(Catalog {
         scenarios,

@@ -10,7 +10,23 @@
 //!
 //! With one available core (or `RAYON_NUM_THREADS=1`) every helper runs
 //! the plain sequential loop, so single-slot grid jobs pay no spawn
-//! overhead.
+//! overhead. So does a fan-out nested inside another one's leaf (a
+//! catalog's per-scenario station synthesis, say): the vendored `join`
+//! spawns an OS thread per fork, and nested fan-outs would multiply
+//! their leaf counts into that many threads alive at once.
+
+use std::cell::Cell;
+
+thread_local! {
+    /// Set while this thread runs a fan-out's leaf.
+    static IN_LEAF: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True when a fan-out may fork: more than one thread, and not already
+/// inside another fan-out's leaf.
+fn forks() -> bool {
+    rayon::current_num_threads() > 1 && !IN_LEAF.with(Cell::get)
+}
 
 /// Minimum number of leaf elements below which fan-out never pays.
 const MIN_LEAF: usize = 1;
@@ -33,7 +49,7 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk = chunk.max(1);
-    if rayon::current_num_threads() <= 1 || out.len() <= chunk {
+    if !forks() || out.len() <= chunk {
         for (c, piece) in out.chunks_mut(chunk).enumerate() {
             f(c * chunk, piece);
         }
@@ -48,7 +64,9 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     if out.len() <= chunk {
+        let outer = IN_LEAF.with(|c| c.replace(true));
         f(start, out);
+        IN_LEAF.with(|c| c.set(outer));
         return;
     }
     // Split on a chunk boundary at (or just past) the midpoint so leaf
@@ -69,7 +87,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if rayon::current_num_threads() <= 1 || n <= min_chunk.max(1) {
+    if !forks() || n <= min_chunk.max(1) {
         return (0..n).map(f).collect();
     }
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
@@ -112,6 +130,14 @@ mod tests {
         let s: Vec<usize> = (0..257).map(|i| i * i).collect();
         assert_eq!(v, s);
         assert!(map_indexed(0, 1, |i| i).is_empty());
+    }
+
+    #[test]
+    fn leaves_do_not_fork_again() {
+        let mut nested = vec![true; 64];
+        for_each_chunk(&mut nested, 8, |_, piece| piece.fill(forks()));
+        assert!(nested.iter().all(|&f| !f), "a leaf would fork again");
+        assert_eq!(forks(), rayon::current_num_threads() > 1);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! distance). Add GNSS noise. The result is the 3-component, 1 Hz
 //! displacement waveform that EEW models train on.
 
-use rayon::prelude::*;
-
 use crate::error::{FqError, FqResult};
 use crate::geometry::FaultModel;
 use crate::greens::GfLibrary;
@@ -230,8 +228,9 @@ pub fn synthesize_station(
 }
 
 /// Synthesise waveforms for every station in the library for one scenario,
-/// in parallel with Rayon. This is what one C-Phase job computes per
-/// scenario.
+/// in parallel through [`crate::par`]. This is what one C-Phase job
+/// computes per scenario. Each station is a pure function of its index,
+/// so the result is bitwise [`synthesize_all_stations_seq`]'s.
 pub fn synthesize_all_stations(
     fault: &FaultModel,
     gfs: &GfLibrary,
@@ -240,21 +239,19 @@ pub fn synthesize_all_stations(
     config: &WaveformConfig,
     noise_seed: u64,
 ) -> FqResult<Vec<GnssWaveform>> {
-    (0..gfs.n_stations())
-        // fdwlint::allow(raw-parallelism): ordered indexed map — each station is a pure function of its index and collect preserves order, so parallel == sequential bitwise
-        .into_par_iter()
-        .map(|si| {
-            synthesize_station(
-                fault,
-                gfs,
-                station_distances,
-                scenario,
-                si,
-                config,
-                noise_seed,
-            )
-        })
-        .collect()
+    crate::par::map_indexed(gfs.n_stations(), 1, |si| {
+        synthesize_station(
+            fault,
+            gfs,
+            station_distances,
+            scenario,
+            si,
+            config,
+            noise_seed,
+        )
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Sequential variant of [`synthesize_all_stations`] for the
