@@ -14,7 +14,10 @@ echo "==> perfbench (own tests; each declared workload reproduces golden.json)"
 # perfbench/golden.json pins the digest of each declared workload's
 # full-size science. A short untraced run must end with "correct": true:
 # every operation passed its gates and the digest equals the golden one.
-cargo test --release -q --manifest-path perfbench/Cargo.toml
+# --include-ignored also runs grid_points_replay_byte_identically, which
+# replays grid points on a churny pool twice and compares the bytes
+# (about 0.1 s), so every cluster change is checked for replay.
+cargo test --release -q --manifest-path perfbench/Cargo.toml -- --include-ignored
 python3 -m unittest discover -s perfbench/tests -p 'test_*.py'
 for w in $(python3 -c 'import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
