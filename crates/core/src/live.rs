@@ -18,27 +18,8 @@ use fakequakes::rupture::{RuptureConfig, RuptureGenerator, RuptureScenario};
 use fakequakes::stations::StationNetwork;
 use fakequakes::stochastic::FactorCache;
 use fakequakes::waveform::WaveformConfig;
-use fdw_obs::Obs;
 
 use crate::config::{FdwConfig, StationInput};
-
-/// Run `f`, timing it on the wall clock, and record the duration as a
-/// `fq`-category microsecond span plus a `fq.{kernel}_us` histogram
-/// sample. Free when the handle is disabled. The clock is read through
-/// [`fdw_obs::wallclock::WallTimer`] — the one allowlisted wall-clock
-/// site — so sim code stays `Instant`-free (fdwlint `wall-clock-in-sim`).
-// fdwlint::allow(nondet-flow-to-sink): measured host wall time IS the telemetry payload here; spans/histograms are profiling artifacts, excluded from byte-stable comparison (BYTE_STABLE_CRATES) and never folded into science outputs
-fn timed<T>(obs: &Obs, kernel: &str, tid: u64, f: impl FnOnce() -> T) -> T {
-    if !obs.is_enabled() {
-        return f();
-    }
-    let t0 = fdw_obs::wallclock::WallTimer::start();
-    let out = f();
-    let us = t0.elapsed_us();
-    obs.span_us("fq", kernel, tid, 0, us);
-    obs.observe(&format!("fq.{kernel}_us"), us as f64);
-    out
-}
 
 /// Materialised inputs of a live run.
 pub struct LiveInputs {
@@ -101,41 +82,6 @@ pub fn live_rupture_job(
         .collect())
 }
 
-/// [`live_matrix_phase`] with kernel telemetry: the distance-matrix build
-/// is timed into span/histogram `kernel.matrix_phase`.
-pub fn live_matrix_phase_with_obs(inputs: &LiveInputs, obs: &Obs) -> DistanceMatrices {
-    timed(obs, "kernel.matrix_phase", 0, || live_matrix_phase(inputs))
-}
-
-/// [`live_rupture_job`] with kernel telemetry: the job is timed into
-/// span/histogram `kernel.rupture_job` (track = `first`), and the
-/// process-wide correlated-field factor cache's hit/miss deltas across
-/// the job are accumulated under `fq.factor_cache.hits` / `.misses` — the
-/// counters the bench harness reads to show recycling at work.
-pub fn live_rupture_job_with_obs(
-    cfg: &FdwConfig,
-    inputs: &LiveInputs,
-    matrices: &DistanceMatrices,
-    first: u64,
-    count: u64,
-    obs: &Obs,
-) -> FqResult<Vec<RuptureScenario>> {
-    let before = FactorCache::global().stats();
-    let out = timed(obs, "kernel.rupture_job", first, || {
-        live_rupture_job(cfg, inputs, matrices, first, count)
-    })?;
-    let after = FactorCache::global().stats();
-    obs.inc(
-        "fq.factor_cache.hits",
-        after.hits.saturating_sub(before.hits),
-    );
-    obs.inc(
-        "fq.factor_cache.misses",
-        after.misses.saturating_sub(before.misses),
-    );
-    Ok(out)
-}
-
 /// Live B-phase work: compute the Green's function library (the `gf.0`
 /// job).
 pub fn live_gf_phase(inputs: &LiveInputs) -> FqResult<GfLibrary> {
@@ -170,24 +116,6 @@ pub fn live_waveform_job(
             )
         })
         .collect()
-}
-
-/// [`live_waveform_job`] with kernel telemetry: the job is timed into
-/// span/histogram `kernel.waveform_job` (track = index of the first
-/// scenario, or 0 when empty).
-pub fn live_waveform_job_with_obs(
-    cfg: &FdwConfig,
-    inputs: &LiveInputs,
-    matrices: &DistanceMatrices,
-    gfs: &GfLibrary,
-    scenarios: &[RuptureScenario],
-    duration_s: f64,
-    obs: &Obs,
-) -> FqResult<Vec<Vec<fakequakes::waveform::GnssWaveform>>> {
-    let tid = scenarios.first().map_or(0, |s| s.id);
-    timed(obs, "kernel.waveform_job", tid, || {
-        live_waveform_job(cfg, inputs, matrices, gfs, scenarios, duration_s)
-    })
 }
 
 /// Run the whole pipeline live for a (small) configuration — what the
@@ -273,39 +201,6 @@ mod tests {
         for (x, y) in all.iter().zip(a.iter().chain(b.iter())) {
             assert_eq!(x.slip_m, y.slip_m);
             assert_eq!(x.hypocenter_idx, y.hypocenter_idx);
-        }
-    }
-
-    #[test]
-    fn instrumented_jobs_record_kernel_spans_and_cache_counters() {
-        let cfg = tiny_cfg();
-        let inputs = build_inputs(&cfg).unwrap();
-        let obs = Obs::enabled();
-        let matrices = live_matrix_phase_with_obs(&inputs, &obs);
-        // Same mesh + correlation params twice: the second job must reuse
-        // the recycled correlated-field factorisation.
-        let a = live_rupture_job_with_obs(&cfg, &inputs, &matrices, 0, 2, &obs).unwrap();
-        let b = live_rupture_job_with_obs(&cfg, &inputs, &matrices, 2, 2, &obs).unwrap();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        assert!(
-            obs.counter("fq.factor_cache.hits") >= 1,
-            "second rupture job should hit the factor cache"
-        );
-        let gfs = live_gf_phase(&inputs).unwrap();
-        let wfs = live_waveform_job_with_obs(&cfg, &inputs, &matrices, &gfs, &a[..1], 64.0, &obs)
-            .unwrap();
-        assert_eq!(wfs.len(), 1);
-        for kernel in ["matrix_phase", "rupture_job", "waveform_job"] {
-            let h = obs.histogram_stats(&format!("fq.kernel.{kernel}_us"));
-            assert!(h.is_some(), "missing fq.kernel.{kernel}_us histogram");
-        }
-        let trace = obs.chrome_trace();
-        assert!(trace.contains("\"name\":\"kernel.rupture_job\""), "{trace}");
-        // Instrumented and plain paths produce identical science.
-        let plain = live_rupture_job(&cfg, &inputs, &matrices, 0, 2).unwrap();
-        for (x, y) in a.iter().zip(&plain) {
-            assert_eq!(x.slip_m, y.slip_m);
         }
     }
 

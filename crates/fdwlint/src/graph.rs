@@ -23,7 +23,7 @@ const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc", "rayon"];
 /// because the names collide. Within the defining file or crate the
 /// receiver is plausibly the workspace type; across crates these names
 /// are treated as non-workspace calls. Distinctive sink methods
-/// (`observe`, `span_us`, `record`, ...) are deliberately absent.
+/// (`observe`, `record`, `to_json`, ...) are deliberately absent.
 const COMMON_METHOD_NAMES: &[&str] = &[
     "write", "read", "push", "pop", "insert", "remove", "get", "set", "len", "is_empty", "new",
     "clone", "next", "flush", "extend", "iter", "drain", "contains", "take", "send", "recv",

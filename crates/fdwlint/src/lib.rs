@@ -48,8 +48,7 @@ pub struct ScanOutcome {
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Source→sink flows downgraded by an `fdwlint::allow` on some hop
-    /// (graph pass only). `scripts/sanitize.sh` cross-references these
-    /// against artifacts that differ across thread counts.
+    /// (graph pass only).
     pub allowed_flows: Vec<AllowedFlow>,
     /// Call-site resolution statistics of the graph pass, if it ran.
     pub graph_stats: Option<GraphStats>,

@@ -16,9 +16,9 @@ use crate::lexer::mask;
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "wall-clock-in-sim",
-        description: "Instant::now/SystemTime::now outside the bench crate and the single \
-                      allowlisted fdw-obs wallclock helper: sim crates must take time from \
-                      SimTime or fdw_obs::wallclock so seeded runs never observe the host clock",
+        description: "Instant::now/SystemTime::now outside the bench crate: sim crates must \
+                      take time from SimTime so seeded runs never observe the host clock \
+                      (host time is measured by perfbench's traced pass, outside the workspace)",
         example: "let t0 = std::time::Instant::now(); // in a sim crate",
     },
     RuleInfo {
@@ -74,8 +74,8 @@ pub const RULES: &[RuleInfo] = &[
                       callee joining them deeper: the join point of a tainted dataflow, \
                       reported with the full call chain",
         example: "fn report(obs: &Obs) {\n\
-                  \x20   let us = WallTimer::start().elapsed_us(); // wall-clock source\n\
-                  \x20   obs.observe(\"io_us\", us as f64);          // telemetry sink\n\
+                  \x20   let t0 = std::time::Instant::now();      // wall-clock source\n\
+                  \x20   obs.observe(\"io_s\", t0.elapsed().as_secs_f64()); // telemetry sink\n\
                   }",
     },
     RuleInfo {
@@ -124,9 +124,6 @@ pub fn is_rule(name: &str) -> bool {
 /// hasher seeds — the scope of `unordered-hash-iteration`.
 pub const BYTE_STABLE_CRATES: &[&str] =
     &["htcsim", "dagman", "fdw-obs", "vdc-burst", "vdc-catalog"];
-
-/// The single sanctioned wall-clock read (see `fdw_obs::wallclock`).
-pub const WALLCLOCK_ALLOWLIST: &[&str] = &["crates/obs/src/wallclock.rs"];
 
 /// The single sanctioned home of parallel primitives.
 pub const PARALLELISM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/par.rs"];
@@ -339,7 +336,6 @@ pub fn scan_file(file: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
 
         // wall-clock-in-sim
         if file.crate_name != "fdw-bench"
-            && !WALLCLOCK_ALLOWLIST.contains(&file.rel_path.as_str())
             && (code.contains("Instant::now") || code.contains("SystemTime::now"))
         {
             push("wall-clock-in-sim", line);
@@ -650,13 +646,13 @@ mod tests {
             "fn f() { let t = Instant::now(); }\n",
         );
         assert!(rules_fired(&b).is_empty());
-        // The one obs helper is allowlisted.
+        // No sim-crate file is exempt, the old fdw-obs timer's included.
         let o = file(
             "fdw-obs",
             "crates/obs/src/wallclock.rs",
             "fn f() { let t = Instant::now(); }\n",
         );
-        assert!(rules_fired(&o).is_empty());
+        assert_eq!(rules_fired(&o), vec!["wall-clock-in-sim"]);
     }
 
     #[test]

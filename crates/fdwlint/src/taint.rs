@@ -11,9 +11,8 @@
 //!   the nearest source and to the nearest sink. The *join point* — the
 //!   innermost function from which both are reachable — is the finding,
 //!   reported with both call chains. `fdwlint::allow` at any hop on
-//!   either chain downgrades the flow to a recorded [`AllowedFlow`]
-//!   (which `scripts/sanitize.sh` cross-references against runtime
-//!   artifact diffs).
+//!   either chain downgrades the flow to a recorded [`AllowedFlow`],
+//!   listed in the report with its written reason.
 //! * `dead-config-knob` — knobs parsed into `FdwConfig` whose field no
 //!   code outside `config.rs` ever reads.
 //! * `ulog-code-registry` — ULOG numeric event codes defined once, in
@@ -45,8 +44,7 @@ impl Default for AnalysisOptions {
 }
 
 /// A source→sink flow suppressed by an `fdwlint::allow` on some hop —
-/// kept in the report so the dynamic determinism sweep can match a
-/// differing artifact back to its justified static flow.
+/// kept in the report, with its reason, rather than dropped.
 #[derive(Debug, Clone)]
 pub struct AllowedFlow {
     /// The rule that would have fired (`nondet-flow-to-sink`).
@@ -165,12 +163,6 @@ const SINKS: &[SinkSpec] = &[
         krate: "fakequakes",
         name: "to_bytes",
         self_type: Some("MseedFile"),
-    },
-    SinkSpec {
-        kind: "telemetry",
-        krate: "fdw-obs",
-        name: "span_us",
-        self_type: None,
     },
     SinkSpec {
         kind: "telemetry",

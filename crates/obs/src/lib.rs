@@ -46,7 +46,6 @@ pub mod digest;
 pub mod json;
 pub mod metrics;
 pub mod trace;
-pub mod wallclock;
 
 use std::sync::Arc;
 
@@ -169,27 +168,6 @@ impl Obs {
         }
     }
 
-    /// Record a completed span with **microsecond** resolution — for live
-    /// (wall-clock-measured) kernel timing, where sub-second durations
-    /// would round to zero under [`Obs::span`]'s whole-second API.
-    /// `start_us`/`end_us` are microsecond offsets from this handle's
-    /// base time.
-    pub fn span_us(&self, cat: &str, name: &str, tid: u64, start_us: u64, end_us: u64) {
-        if let Some(s) = &self.sink {
-            if self.trace_on {
-                let dur = end_us.saturating_sub(start_us);
-                s.tracer.complete(
-                    cat,
-                    name,
-                    self.pid,
-                    tid,
-                    self.base_s * 1_000_000 + start_us,
-                    dur,
-                );
-            }
-        }
-    }
-
     /// Record an instant event at `t_s` simulation seconds.
     pub fn instant(&self, cat: &str, name: &str, tid: u64, t_s: u64) {
         if let Some(s) = &self.sink {
@@ -271,19 +249,6 @@ mod tests {
         // Base offset shifts the span to 100 s; pid is the scope's lane.
         assert!(trace.contains("\"ts\":100000000"), "{trace}");
         assert!(trace.contains("\"pid\":3"), "{trace}");
-    }
-
-    #[test]
-    fn span_us_keeps_sub_second_durations() {
-        let obs = Obs::enabled();
-        obs.span_us("fq", "kernel.cholesky", 0, 250, 1_750);
-        let trace = obs.chrome_trace();
-        assert!(trace.contains("\"ts\":250"), "{trace}");
-        assert!(trace.contains("\"dur\":1500"), "{trace}");
-        // The scoped base shifts in whole seconds, like `span`.
-        let shifted = obs.scoped(1, 2);
-        shifted.span_us("fq", "kernel.eigen", 0, 0, 10);
-        assert!(obs.chrome_trace().contains("\"ts\":2000000"));
     }
 
     #[test]

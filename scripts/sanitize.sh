@@ -17,34 +17,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> fdwlint report (static flows, for sink cross-referencing)"
-# A dynamic mismatch below is only tolerable when the static pass has a
-# *justified* (allow-annotated) source->sink flow of the matching sink
-# kind on record; regenerate the report so the cross-reference is fresh.
-FDWLINT_REPORT="target/fdwlint.report.json"
-cargo run -q -p fdwlint --release -- --json > "$FDWLINT_REPORT" || true
-
-# Sink kinds carrying an fdwlint-allowed flow, one per line.
-allowed_sink_kinds() {
-  grep -o '"sink_kind": "[a-z-]*"' "$FDWLINT_REPORT" 2>/dev/null \
-    | cut -d'"' -f4 | sort -u
-}
-
-# Report a byte mismatch on a serialized artifact: tolerated (with the
-# justification surfaced) iff a matching allowed flow exists, otherwise a
-# hard failure pointing at the static analysis.
-#   check_mismatch <artifact> <sink-kind> <threads>  -> sets fail=1 or not
-check_mismatch() {
-  local artifact="$1" kind="$2" n="$3"
-  if allowed_sink_kinds | grep -qx "$kind"; then
-    echo "  BYTE MISMATCH: $artifact differs between FDW_THREADS=1 and FDW_THREADS=$n"
-    echo "    ...but an fdwlint-allowed $kind flow is on record — see allowed_flows in $FDWLINT_REPORT"
-  else
-    echo "  BYTE MISMATCH: $artifact differs between FDW_THREADS=1 and FDW_THREADS=$n"
-    echo "    and no allowed $kind flow is on record: an unreported nondeterministic"
-    echo "    dataflow reaches this sink — run 'cargo run -p fdwlint' to locate it"
-    fail=1
-  fi
+# Report a byte mismatch between FDW_THREADS=1 and a higher thread count.
+# Every mismatch fails: no nondeterministic flow into a serialized sink is
+# allowed, so fdwlint reports any it can see.
+#   mismatch <artifact> <threads>  -> sets fail=1
+mismatch() {
+  echo "  BYTE MISMATCH: $1 differs between FDW_THREADS=1 and FDW_THREADS=$2"
+  echo "    run 'cargo run -p fdwlint' to look for a nondeterministic dataflow"
+  fail=1
 }
 
 echo "==> thread-count determinism smoke (FDW_THREADS 1/2/8)"
@@ -67,14 +47,8 @@ artifacts=$(cd "$baseline_dir" && ls ./*.npy ./*.mseed)
 fail=0
 for n in 2 8; do
   for f in $artifacts; do
-    if cmp -s "$baseline_dir/$f" "$SMOKE_ROOT/threads-$n/fdw_chile_catalog/$f"; then
-      :
-    else
-      case "$f" in
-        *.npy) check_mismatch "$f" npy-serializer "$n" ;;
-        *) check_mismatch "$f" mseed-serializer "$n" ;;
-      esac
-    fi
+    cmp -s "$baseline_dir/$f" "$SMOKE_ROOT/threads-$n/fdw_chile_catalog/$f" \
+      || mismatch "$f" "$n"
   done
   echo "  -> threads-$n vs threads-1: $(echo "$artifacts" | wc -w) artifact(s) compared"
 done
@@ -95,7 +69,7 @@ done
 for n in 2 8; do
   if ! cmp -s "$SMOKE_ROOT/failover-threads-1.json" \
               "$SMOKE_ROOT/failover-threads-$n.json"; then
-    check_mismatch "BENCH_failover" bench-json "$n"
+    mismatch "BENCH_failover" "$n"
   fi
 done
 [ "$fail" -eq 0 ] || { echo "failover-path determinism smoke FAILED"; exit 1; }
@@ -118,7 +92,7 @@ done
 for n in 2 8; do
   if ! cmp -s "$SMOKE_ROOT/service-threads-1.json" \
               "$SMOKE_ROOT/service-threads-$n.json"; then
-    check_mismatch "BENCH_service" bench-json "$n"
+    mismatch "BENCH_service" "$n"
   fi
 done
 [ "$fail" -eq 0 ] || { echo "service-path determinism smoke FAILED"; exit 1; }
