@@ -292,11 +292,6 @@ impl Dagman {
         self.wasted_spec_s
     }
 
-    /// How many times `node` was submitted.
-    pub fn node_attempts(&self, node: NodeId) -> u32 {
-        self.attempts[node.0]
-    }
-
     /// Name of the node a cluster job id was submitted under, if this
     /// DAGMan submitted it (telemetry uses this to group user-log events
     /// by workflow phase).

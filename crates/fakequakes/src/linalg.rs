@@ -132,11 +132,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the underlying row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow one row as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]

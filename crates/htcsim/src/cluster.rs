@@ -3,10 +3,10 @@
 //! user log. Workloads (DAGMans) plug in through [`WorkloadDriver`].
 //!
 //! Lifecycle of one job: `Idle → (negotiation match) → TransferringInput →
-//! Running → TransferringOutput → Completed`, with `Evicted → Idle`
-//! whenever the glidein underneath disappears — exactly the observable
-//! state machine of an OSPool job. Every forward step goes through
-//! `Cluster::advance` and every end of an attempt through
+//! Running → TransferringOutput → Completed`. When the glidein underneath
+//! disappears the job is evicted straight back to `Idle`, or to
+//! `Removed` once it runs out of eviction credits. Every forward step
+//! goes through `Cluster::advance` and every end of an attempt through
 //! `Cluster::vacate`; both bump the job's serial, and a job event acts
 //! only while the job still has the serial it was scheduled under.
 

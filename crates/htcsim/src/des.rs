@@ -212,11 +212,6 @@ impl<M: LaneModel> ShardedEngine<M> {
         }
     }
 
-    /// Number of lanes.
-    pub fn num_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Seed an initial event onto `lane` at absolute `time`.
     pub fn seed_event(&mut self, lane: u32, time: SimTime, ev: M::Ev) {
         self.lanes[lane as usize].push(time, ev);

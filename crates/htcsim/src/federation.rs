@@ -241,16 +241,6 @@ impl Federation {
         self.stats
     }
 
-    /// Number of pools.
-    pub fn pool_count(&self) -> u32 {
-        self.pools.len() as u32
-    }
-
-    /// Name of a pool (for logs and reports).
-    pub fn pool_name(&self, pool: u32) -> &'static str {
-        self.pools[pool as usize].spec.name
-    }
-
     /// Assign an arriving machine to a pool by deficit round-robin:
     /// the pool whose assigned count is furthest below its slot share
     /// gets the machine. Deterministic in machine arrival order.
@@ -294,11 +284,6 @@ impl Federation {
             self.stats.outages += 1;
         }
         p.down = down;
-    }
-
-    /// True while `pool` is inside an outage window.
-    pub fn is_down(&self, pool: u32) -> bool {
-        self.pools[pool as usize].down
     }
 
     /// Start or end a network partition between `pool` and the submit

@@ -132,8 +132,6 @@ pub enum JobState {
     TransferringOutput,
     /// Finished successfully.
     Completed,
-    /// Evicted (glidein vanished); will return to Idle and retry.
-    Evicted,
     /// Removed from the queue (e.g. bursted away by a policy).
     Removed,
     /// On hold; will be released back to Idle after the hold period.

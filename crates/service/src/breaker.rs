@@ -7,8 +7,10 @@
 //! [`htcsim::service::RejectReason::CircuitOpen`] until a cool-down
 //! elapses; the first campaign after the cool-down probes the tenant —
 //! success closes the breaker, another failure re-opens it for a fresh
-//! cool-down. This is the same open/probe/close protocol the federation
-//! layer applies to unhealthy pools, applied to tenants.
+//! cool-down. Unlike the federation's pool breaker, which ignores
+//! outcomes until its half-open probe, a completion that lands while the
+//! breaker is open acts at once: a success closes it and a failure
+//! re-opens it.
 
 use htcsim::time::SimTime;
 

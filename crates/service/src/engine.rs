@@ -19,7 +19,6 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use fdw_obs::digest::{digest_fold, DIGEST_INIT};
-use fdw_obs::Obs;
 use htcsim::des::{LaneModel, ShardedEngine};
 use htcsim::job::{JobEvent, JobEventKind, JobId, OwnerId};
 use htcsim::service::{ArtifactKind, DegradeMode, RejectReason, ServiceDetail, ShedReason};
@@ -156,51 +155,6 @@ impl ServiceReport {
             return 0.0;
         }
         delivered as f64 / offered as f64
-    }
-
-    /// Publish the run's counters under the `service.*` / `tenant.*`
-    /// metric namespaces.
-    pub fn publish_obs(&self, obs: &Obs) {
-        let s = &self.stats;
-        for (name, v) in [
-            ("service.admitted", s.admitted),
-            ("service.rejected.quota", s.rejected_quota),
-            ("service.rejected.queue_full", s.rejected_queue),
-            ("service.rejected.breaker", s.rejected_breaker),
-            ("service.shed.backlog", s.shed_backlog),
-            ("service.shed.deadline", s.shed_deadline),
-            ("service.degraded.kl", s.degraded_kl),
-            ("service.degraded.replicas", s.degraded_replicas),
-            ("service.completed", s.completed),
-            ("service.completed_late", s.completed_late),
-            ("service.failed", s.failed),
-            ("service.breaker.opens", s.breaker_opens),
-            ("service.goodput_s", s.goodput_s),
-            ("service.badput_s", s.badput_s),
-            ("service.store.hits", self.store.hits),
-            (
-                "service.store.cross_tenant_hits",
-                self.store.cross_tenant_hits,
-            ),
-            ("service.store.misses", self.store.misses),
-            ("service.store.quarantines", self.store.quarantines),
-            ("service.store.evictions", self.store.evictions),
-        ] {
-            if v > 0 {
-                obs.inc(name, v);
-            }
-        }
-        for (tenant, t) in &self.per_tenant {
-            obs.gauge(&format!("tenant.{tenant}.goodput_s"), t.goodput_s as f64);
-        }
-        for o in &self.outcomes {
-            if let Disposition::Completed { finish, .. } = o.disposition {
-                obs.observe(
-                    "service.latency_s",
-                    (finish.as_secs() - o.request.submit.as_secs()) as f64,
-                );
-            }
-        }
     }
 }
 
@@ -931,15 +885,5 @@ mod tests {
         let f = r.goodput_fraction();
         assert!((0.0..=1.0).contains(&f), "goodput fraction {f}");
         assert!(f > 0.0);
-    }
-
-    #[test]
-    fn obs_counters_published() {
-        let obs = Obs::enabled();
-        let r = run_service(&ServiceConfig::defended(4), &wl(3, 4.0), 2, 60, 1);
-        r.publish_obs(&obs);
-        assert_eq!(obs.counter("service.admitted"), r.stats.admitted);
-        assert_eq!(obs.counter("service.completed"), r.stats.completed);
-        assert!(obs.histogram_stats("service.latency_s").is_some());
     }
 }
