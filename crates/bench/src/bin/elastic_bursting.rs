@@ -6,17 +6,20 @@
 //! (windowed-throughput SD).
 
 #![forbid(unsafe_code)]
-use fdw_bench::record_bursting_batches;
+use fdw_bench::{elastic_summary, record_bursting_batches, BurstRow, ElasticBatch};
 use vdc_burst::prelude::*;
+
+const TARGET_JPM: f64 = 20.0;
 
 fn main() {
     println!("Extension — elastic VDC bursting vs static Policy 1 (paper §6 future work)\n");
+    let mut batches = Vec::new();
     for (label, input) in record_bursting_batches() {
         let control = simulate(&input, &BurstPolicies::control()).unwrap();
         let static1 = simulate(&input, &BurstPolicies::paper_sweep(5, 90)).unwrap();
         let elastic = BurstPolicies {
             elastic: Some(ElasticPolicy {
-                target_jpm: 20.0,
+                target_jpm: TARGET_JPM,
                 control_period_s: 30,
                 gain: 0.5,
                 max_vdc_slots: 150,
@@ -25,65 +28,41 @@ fn main() {
             ..Default::default()
         };
         let elastic = simulate(&input, &elastic).unwrap();
+        let batch = ElasticBatch {
+            label,
+            control: BurstRow::of(&control),
+            static1: BurstRow::of(&static1),
+            elastic: BurstRow::of(&elastic),
+            peak_vdc_slots: elastic.peak_vdc_slots,
+            mean_vdc_slots: elastic.mean_vdc_slots,
+        };
 
         println!("== {label} ({} jobs) ==", control.total_jobs);
         println!(
             "{:<22} {:>9} {:>9} {:>9} {:>9} {:>11}",
             "strategy", "AIT(jpm)", "runtime", "bursted", "cost($)", "consistency"
         );
-        let row = |name: &str, o: &BurstOutcome, sd: Option<f64>| {
+        for (name, r) in [
+            ("control (OSG only)", &batch.control),
+            ("static policy 1 (5 s)", &batch.static1),
+            ("elastic (target 20)", &batch.elastic),
+        ] {
             println!(
                 "{:<22} {:>9.1} {:>8.2}h {:>9} {:>9.2} {:>11}",
                 name,
-                o.ait_jpm,
-                o.runtime_secs as f64 / 3600.0,
-                o.bursted_jobs,
-                o.cost_usd,
-                sd.map(|s| format!("sd {s:.1}"))
-                    .unwrap_or_else(|| "-".into()),
+                r.ait_jpm,
+                r.runtime_h,
+                r.bursted,
+                r.cost_usd,
+                format!("sd {:.1}", r.sd_jpm),
             );
-        };
-        row(
-            "control (OSG only)",
-            &control,
-            Some(windowed_sd(&control.instant_series)),
-        );
-        row(
-            "static policy 1 (5 s)",
-            &static1,
-            Some(windowed_sd(&static1.instant_series)),
-        );
-        row(
-            "elastic (target 20)",
-            &elastic,
-            Some(windowed_sd(&elastic.instant_series)),
-        );
+        }
         println!(
             "  elastic telemetry: peak {} VDC slots, mean {:.1} slots",
-            elastic.peak_vdc_slots, elastic.mean_vdc_slots
+            batch.peak_vdc_slots, batch.mean_vdc_slots
         );
         println!();
+        batches.push(batch);
     }
-    println!("Measured: on both batches the elastic controller overshoots its 20 JPM target");
-    println!("(AIT 24-26 JPM). It bursts 1.8x the static policy's jobs at 1.8x its cost on");
-    println!("batch 1, and 1.3x both on batch 2, where it cuts the runtime to 6.95 h against");
-    println!("the static policy's 10.19 h. Its consistency SD is below the static policy's");
-    println!("only on batch 1, and below the control's only on batch 2. Its mean VDC pool is");
-    println!("about half its peak: the pool scales down as well as up.");
-}
-
-/// Consistency metric, identical for every strategy: the SD of the
-/// 5-minute-windowed completion throughput, derived from the cumulative
-/// instant-throughput series (eq. 5): completed(t) = ω(t)·t/60.
-fn windowed_sd(series: &[f64]) -> f64 {
-    const W: usize = 300;
-    if series.len() <= W {
-        return 0.0;
-    }
-    let completed = |t: usize| series[t] * t.max(1) as f64 / 60.0;
-    let samples: Vec<f64> = (W..series.len())
-        .map(|t| (completed(t) - completed(t - W)) / (W as f64 / 60.0))
-        .collect();
-    let m = samples.iter().sum::<f64>() / samples.len() as f64;
-    (samples.iter().map(|x| (x - m).powi(2)).sum::<f64>() / samples.len() as f64).sqrt()
+    println!("{}", elastic_summary(TARGET_JPM, &batches));
 }

@@ -33,6 +33,7 @@ use dagman::monitor::MeanSd;
 use fakequakes::stations::ChileanInput;
 use fdw_core::prelude::*;
 use vdc_burst::records::BatchInput;
+use vdc_burst::simulator::BurstOutcome;
 
 /// The three replication seeds used throughout, mirroring the paper's
 /// three runs per configuration.
@@ -189,6 +190,154 @@ pub fn sparkline(series: &[f64], width: usize) -> String {
         .collect()
 }
 
+/// Consistency metric, identical for every bursting strategy: the SD of
+/// the 5-minute-windowed completion throughput, derived from the
+/// cumulative instant-throughput series (eq. 5): completed(t) = ω(t)·t/60.
+pub fn windowed_sd(series: &[f64]) -> f64 {
+    const W: usize = 300;
+    if series.len() <= W {
+        return 0.0;
+    }
+    let completed = |t: usize| series[t] * t.max(1) as f64 / 60.0;
+    let samples: Vec<f64> = (W..series.len())
+        .map(|t| (completed(t) - completed(t - W)) / (W as f64 / 60.0))
+        .collect();
+    let m = samples.iter().sum::<f64>() / samples.len() as f64;
+    (samples.iter().map(|x| (x - m).powi(2)).sum::<f64>() / samples.len() as f64).sqrt()
+}
+
+/// One strategy's row of `elastic_bursting`'s table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BurstRow {
+    /// Average instant throughput, jobs per minute.
+    pub ait_jpm: f64,
+    /// Batch runtime in hours.
+    pub runtime_h: f64,
+    /// Jobs bursted to the VDC.
+    pub bursted: usize,
+    /// Bursting cost in USD.
+    pub cost_usd: f64,
+    /// [`windowed_sd`] of the instant-throughput series, JPM.
+    pub sd_jpm: f64,
+}
+
+impl BurstRow {
+    /// The row of one replay outcome.
+    pub fn of(o: &BurstOutcome) -> Self {
+        Self {
+            ait_jpm: o.ait_jpm,
+            runtime_h: o.runtime_secs as f64 / 3600.0,
+            bursted: o.bursted_jobs,
+            cost_usd: o.cost_usd,
+            sd_jpm: windowed_sd(&o.instant_series),
+        }
+    }
+}
+
+/// The three strategies `elastic_bursting` replays on one batch, and the
+/// elastic controller's VDC pool size.
+#[derive(Debug, Clone)]
+pub struct ElasticBatch {
+    /// Batch label, as in the table header.
+    pub label: &'static str,
+    /// OSG only, no bursting.
+    pub control: BurstRow,
+    /// Static Policy 1.
+    pub static1: BurstRow,
+    /// The elastic controller.
+    pub elastic: BurstRow,
+    /// Most VDC slots the elastic controller held at once.
+    pub peak_vdc_slots: usize,
+    /// VDC slots the elastic controller held, averaged over the run.
+    pub mean_vdc_slots: f64,
+}
+
+/// The batches where `hit` holds, in words: "on both batches", "only on
+/// batch1", "on neither batch".
+fn on_which(batches: &[ElasticBatch], hit: impl Fn(&ElasticBatch) -> bool) -> String {
+    let on: Vec<&str> = batches.iter().filter(|b| hit(b)).map(|b| b.label).collect();
+    match on.len() {
+        0 => "on neither batch".into(),
+        n if n == batches.len() => "on both batches".into(),
+        _ => format!("only on {}", on.join(" and ")),
+    }
+}
+
+/// `elastic_bursting`'s closing paragraph, computed from the rows it
+/// prints: the elastic controller's AIT against its target, its bursted
+/// jobs and cost against the static policy's, the batches where it is
+/// faster or steadier, and how its mean VDC pool compares with the peak.
+pub fn elastic_summary(target_jpm: f64, batches: &[ElasticBatch]) -> String {
+    let aits = batches.iter().map(|b| b.elastic.ait_jpm);
+    let lo = aits.clone().fold(f64::INFINITY, f64::min).floor();
+    let hi = aits.fold(f64::NEG_INFINITY, f64::max).ceil();
+    let mut out = format!(
+        "Measured: the elastic controller overshoots its {target_jpm} JPM target {} \
+         (AIT {lo}-{hi} JPM).\n",
+        on_which(batches, |b| b.elastic.ait_jpm > target_jpm)
+    );
+
+    let bursts: Vec<String> = batches
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let jobs = b.elastic.bursted as f64 / b.static1.bursted as f64;
+            let cost = b.elastic.cost_usd / b.static1.cost_usd;
+            if i == 0 {
+                format!(
+                    "{jobs:.1}x the static policy's jobs at {cost:.1}x its cost on {}",
+                    b.label
+                )
+            } else {
+                format!("{jobs:.1}x at {cost:.1}x on {}", b.label)
+            }
+        })
+        .collect();
+    out += &format!("It bursts {}.\n", bursts.join(", and "));
+
+    let faster = |b: &ElasticBatch| b.elastic.runtime_h < b.static1.runtime_h;
+    let cuts: Vec<String> = batches
+        .iter()
+        .filter(|b| faster(b))
+        .map(|b| {
+            format!(
+                "{:.2} h against {:.2} h",
+                b.elastic.runtime_h, b.static1.runtime_h
+            )
+        })
+        .collect();
+    out += &format!(
+        "It cuts the runtime below the static policy's {}",
+        on_which(batches, faster)
+    );
+    if !cuts.is_empty() {
+        out += &format!(" ({})", cuts.join("; "));
+    }
+    out += ".\n";
+
+    out += &format!(
+        "Its consistency SD is below the static policy's {}, and below the control's {}.\n",
+        on_which(batches, |b| b.elastic.sd_jpm < b.static1.sd_jpm),
+        on_which(batches, |b| b.elastic.sd_jpm < b.control.sd_jpm)
+    );
+
+    let shares = batches
+        .iter()
+        .map(|b| b.mean_vdc_slots / b.peak_vdc_slots as f64);
+    let s_lo = shares.clone().fold(f64::INFINITY, f64::min);
+    let s_hi = shares.fold(f64::NEG_INFINITY, f64::max);
+    if s_lo >= 0.4 && s_hi <= 0.6 {
+        out += "Its mean VDC pool is about half its peak";
+    } else {
+        out += &format!("Its mean VDC pool is {s_lo:.2}-{s_hi:.2} of its peak");
+    }
+    if s_hi < 1.0 {
+        out += ": the pool scales down as well as up";
+    }
+    out += ".";
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +384,91 @@ mod tests {
         assert!(spark.starts_with('▁'));
         assert!(spark.ends_with('█'));
         assert_eq!(sparkline(&[], 8), "");
+    }
+
+    fn row(ait_jpm: f64, runtime_h: f64, bursted: usize, cost_usd: f64, sd_jpm: f64) -> BurstRow {
+        BurstRow {
+            ait_jpm,
+            runtime_h,
+            bursted,
+            cost_usd,
+            sd_jpm,
+        }
+    }
+
+    /// The two recorded batches' rows as `elastic_bursting` prints them
+    /// at seeds 1 and 2.
+    fn recorded_batches() -> Vec<ElasticBatch> {
+        vec![
+            ElasticBatch {
+                label: "batch1",
+                control: row(13.8, 10.06, 0, 0.0, 15.4),
+                static1: row(21.4, 6.72, 3555, 14.50, 17.6),
+                elastic: row(25.4, 6.81, 6415, 26.52, 15.8),
+                peak_vdc_slots: 89,
+                mean_vdc_slots: 38.2,
+            },
+            ElasticBatch {
+                label: "batch2",
+                control: row(6.6, 15.17, 0, 0.0, 13.4),
+                static1: row(15.4, 10.19, 5981, 24.41, 11.1),
+                elastic: row(24.2, 6.95, 8022, 32.82, 11.8),
+                peak_vdc_slots: 89,
+                mean_vdc_slots: 46.3,
+            },
+        ]
+    }
+
+    #[test]
+    fn elastic_summary_states_the_recorded_rows() {
+        assert_eq!(
+            elastic_summary(20.0, &recorded_batches()),
+            "Measured: the elastic controller overshoots its 20 JPM target on both batches \
+             (AIT 24-26 JPM).\n\
+             It bursts 1.8x the static policy's jobs at 1.8x its cost on batch1, and 1.3x at \
+             1.3x on batch2.\n\
+             It cuts the runtime below the static policy's only on batch2 (6.95 h against \
+             10.19 h).\n\
+             Its consistency SD is below the static policy's only on batch1, and below the \
+             control's only on batch2.\n\
+             Its mean VDC pool is about half its peak: the pool scales down as well as up."
+        );
+    }
+
+    #[test]
+    fn elastic_summary_follows_the_rows_when_they_move() {
+        let mut b = recorded_batches();
+        b[0].elastic = row(19.0, 5.00, 7110, 29.00, 9.0);
+        b[1].elastic.sd_jpm = 10.0;
+        b[0].mean_vdc_slots = 80.1;
+        let text = elastic_summary(20.0, &b);
+        assert!(
+            text.contains("target only on batch2 (AIT 19-25 JPM)"),
+            "{text}"
+        );
+        assert!(text.contains("2.0x the static policy's jobs at 2.0x its cost on batch1"));
+        assert!(text.contains(
+            "static policy's on both batches (5.00 h against 6.72 h; 6.95 h against 10.19 h)"
+        ));
+        assert!(text.contains(
+            "below the static policy's on both batches, and below the control's on both batches"
+        ));
+        assert!(text.contains("pool is 0.52-0.90 of its peak: the pool scales down"));
+
+        // A pool that never leaves its peak does not scale down.
+        for batch in &mut b {
+            batch.mean_vdc_slots = batch.peak_vdc_slots as f64;
+            batch.elastic.runtime_h = 20.0;
+        }
+        let text = elastic_summary(20.0, &b);
+        assert!(
+            text.contains("static policy's on neither batch.\n"),
+            "{text}"
+        );
+        assert!(
+            text.ends_with("Its mean VDC pool is 1.00-1.00 of its peak."),
+            "{text}"
+        );
     }
 
     #[test]
