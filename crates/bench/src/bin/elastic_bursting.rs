@@ -45,7 +45,7 @@ fn main() {
         for (name, r) in [
             ("control (OSG only)", &batch.control),
             ("static policy 1 (5 s)", &batch.static1),
-            ("elastic (target 20)", &batch.elastic),
+            (&*format!("elastic (target {TARGET_JPM})"), &batch.elastic),
         ] {
             println!(
                 "{:<22} {:>9.1} {:>8.2}h {:>9} {:>9.2} {:>11}",

@@ -74,7 +74,7 @@ pub const RULES: &[RuleInfo] = &[
                       callee joining them deeper: the join point of a tainted dataflow, \
                       reported with the full call chain",
         example: "fn report(obs: &Obs) {\n\
-                  \x20   let t0 = std::time::Instant::now();      // wall-clock source\n\
+                  \x20   let t0 = std::time::Instant::now();              // wall-clock source\n\
                   \x20   obs.observe(\"io_s\", t0.elapsed().as_secs_f64()); // telemetry sink\n\
                   }",
     },
@@ -646,7 +646,7 @@ mod tests {
             "fn f() { let t = Instant::now(); }\n",
         );
         assert!(rules_fired(&b).is_empty());
-        // No sim-crate file is exempt, the old fdw-obs timer's included.
+        // No file of a sim crate is exempt, fdw-obs included.
         let o = file(
             "fdw-obs",
             "crates/obs/src/wallclock.rs",

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Opt-in dynamic determinism pass (DESIGN.md §9) — the runtime complement
-# of the static `fdwlint` gate. Two stages:
+# of the static `fdwlint` gate. Two kinds of stage:
 #
-#   1. Thread-count determinism smoke: run the artifact-writing science
-#      path at FDW_THREADS ∈ {1, 2, 8} and byte-compare every `.npy` and
-#      `.mseed` product across thread counts. Parallel must equal
-#      sequential bitwise, all the way down to the serialised bytes.
+#   1. Thread-count determinism smokes: run the artifact-writing science
+#      path, the failover and overload ablations and the simd kernel
+#      chain at FDW_THREADS ∈ {1, 2, 8} and byte-compare every `.npy` and
+#      `.mseed` product, BENCH report and digest across thread counts.
+#      Parallel must equal sequential bitwise, all the way down to the
+#      serialised bytes; any mismatch fails.
 #   2. ThreadSanitizer over the parallel kernels — requires a nightly
 #      toolchain with the rust-src component; skipped (with a notice,
 #      exit 0) when unavailable, so the script is safe to run anywhere.
