@@ -224,6 +224,15 @@ fn telemetry_exports_are_byte_identical_across_replays() {
     assert_eq!(trace_a, trace_b, "Chrome trace");
     assert_eq!(reg_a, reg_b, "registry JSON");
     assert_eq!(dm_a, dm_b, ".dag.metrics documents");
+    assert_eq!(
+        telemetry_digests(&trace_a, &reg_a, &dm_a),
+        [
+            0xa6ba_7514_1e2b_a348,
+            0x394e_9068_9bb6_1bc5,
+            0x0d08_a790_4b58_1159,
+        ],
+        "pinned trace, registry and .dag.metrics digests"
+    );
     // And the artifacts are well-formed, not just stable.
     fdw_suite::fdw_obs::json::validate(&trace_a).unwrap();
     fdw_suite::fdw_obs::json::validate(&reg_a).unwrap();
@@ -256,6 +265,114 @@ fn chaos_telemetry_is_byte_identical_across_replays() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "chaos telemetry replay");
+    assert_eq!(
+        telemetry_digests(&a.0, &a.1, &a.2),
+        [
+            0x3c59_dac3_5f6a_b9f8,
+            0x2449_0c3e_25a4_f0ef,
+            0x8d97_2f45_214d_3a71,
+        ],
+        "pinned trace, registry and .dag.metrics digests"
+    );
+}
+
+/// FNV-1a digests of one run's exported telemetry: its Chrome trace, its
+/// registry JSON, and its `.dag.metrics` documents folded in order.
+fn telemetry_digests(trace: &str, registry: &str, dag_metrics: &[String]) -> [u64; 3] {
+    use fdw_suite::fdw_obs::digest::{fnv1a, DIGEST_INIT};
+    [
+        fnv1a(DIGEST_INIT, trace.as_bytes()),
+        fnv1a(DIGEST_INIT, registry.as_bytes()),
+        dag_metrics
+            .iter()
+            .fold(DIGEST_INIT, |h, d| fnv1a(h, d.as_bytes())),
+    ]
+}
+
+#[test]
+fn defended_and_failover_telemetry_is_pinned() {
+    // The pool-side scenarios behind `defended_run.log` and
+    // `failover_run.log`, traced: the pins cover the defense
+    // (blacklist, quarantine) and federation registry keys.
+    use fdw_suite::htcsim::scenarios::{defended_run, failover_run};
+    let digests = |run: fn(usize, Obs) -> fdw_suite::htcsim::cluster::RunReport| {
+        let obs = Obs::enabled();
+        run(1, obs.clone());
+        let registry = obs.registry_json();
+        (
+            telemetry_digests(&obs.chrome_trace(), &registry, &[]),
+            registry,
+        )
+    };
+    let (defended, registry) = digests(defended_run);
+    assert!(
+        registry.contains("\"pool.defense.blacklists\""),
+        "{registry}"
+    );
+    assert!(
+        registry.contains("\"pool.defense.quarantines\""),
+        "{registry}"
+    );
+    assert_eq!(
+        defended[..2],
+        [0x736a_482d_18fc_ca67, 0x103d_96f4_29d4_bd2a],
+        "defended_run trace and registry digests"
+    );
+    let (failover, registry) = digests(failover_run);
+    assert!(
+        registry.contains("\"pool.federation.migrations\""),
+        "{registry}"
+    );
+    assert_eq!(
+        failover[..2],
+        [0xf7cb_f728_b07e_ef8f, 0x672c_c721_9026_cc0b],
+        "failover_run trace and registry digests"
+    );
+}
+
+#[test]
+fn speculative_chaos_telemetry_is_pinned() {
+    // Straggler speculation on a churny pool with a wide machine-speed
+    // spread, under a tight walltime limit: the campaign holds, retries,
+    // evicts, speculates (both winners and losers), and needs a rescue
+    // round, so the pins cover those registry keys too.
+    let cfg = FdwConfig::parse(
+        "station_input = small\nn_waveforms = 16\nruptures_per_job = 2\nwaveforms_per_job = 2\n\
+         fault_nx = 10\nfault_nd = 5\nretries = 3\nretry_defer_s = 30\nseed = 5\n\
+         speculation = true\n",
+    )
+    .unwrap();
+    let mut cluster = chaos_cluster_config();
+    cluster.pool.speed_sigma = 1.0;
+    cluster.pool.glidein_slots = 1;
+    cluster.pool.glidein_lifetime_s = 1_200.0;
+    let obs = Obs::enabled();
+    let rep =
+        run_chaos_campaign_with_obs(FaultClass::Timeout, 0.3, &cfg, &cluster, 4, &obs).unwrap();
+    assert_eq!((rep.rounds, rep.speculations), (2, 4));
+    let registry = obs.registry_json();
+    for key in [
+        "pool.holds.walltime",
+        "pool.evictions",
+        "dagman.retries",
+        "dagman.spec_wins",
+        "dagman.spec_losses",
+        "dagman.spec_wasted_s",
+    ] {
+        assert!(
+            registry.contains(&format!("\"{key}\"")),
+            "{key}: {registry}"
+        );
+    }
+    assert_eq!(
+        telemetry_digests(&obs.chrome_trace(), &registry, &rep.round_metrics),
+        [
+            0x7b75_d08d_ba65_42fd,
+            0x6c67_dc47_4068_777d,
+            0xdf72_9420_9407_127c,
+        ],
+        "pinned trace, registry and .dag.metrics digests"
+    );
 }
 
 #[test]
