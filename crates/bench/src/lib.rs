@@ -1,6 +1,7 @@
 //! # fdw-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation section (run with
+//! One binary per experiment: each figure of the paper's evaluation
+//! section, each ablation and extension, and the perf snapshots (run with
 //! `cargo run -p fdw-bench --release --bin <name>`):
 //!
 //! | Binary | Reproduces |
@@ -12,9 +13,17 @@
 //! | `fig5_bursting`    | Fig. 5 — bursting AIT & VDC usage sweep |
 //! | `fig6_cost_timeline` | Fig. 6 + §5.3.4 — bursting cost and throughput timelines |
 //! | `table_headline`   | §6 headline numbers (56.8 % reduction, ~5× throughput) |
+//! | `elastic_bursting` | §6 future work — elastic VDC bursting vs the static Policy-1 sweep |
+//! | `pool_weather`     | §6 — glidein churn and background contention during an FDW run |
 //! | `ablate_cache`     | DESIGN.md ablation — Stash cache on/off |
 //! | `ablate_matchmaker`| DESIGN.md ablation — negotiation period / fair share |
 //! | `chaos_matrix`     | DESIGN.md §6 — fault class × intensity recovery matrix with science-digest check |
+//! | `defense_ablation` | DESIGN.md §10 — self-healing defenses off vs on; writes `BENCH_defenses.json` |
+//! | `failover_ablation`| DESIGN.md §11 — federated failover off vs on; writes `BENCH_failover.json` |
+//! | `overload_ablation`| DESIGN.md §15 — service front-end at 2×/6×/10× overload; writes `BENCH_service.json` |
+//! | `des_scaling`      | DESIGN.md §12 — sharded DES engine vs the monolithic heap; writes `BENCH_des.json` |
+//! | `bench_snapshot`   | DESIGN.md §8 — optimised kernels vs their baselines; writes `BENCH_kernels.json` |
+//! | `validate_trace`   | Checks exported telemetry JSON (the `FDW_OBS_DIR` artifacts, fdwlint's report) |
 //!
 //! Criterion micro-benchmarks (`cargo bench -p fdw-bench`) cover the
 //! compute kernels: rupture generation (Cholesky vs Karhunen–Loève),

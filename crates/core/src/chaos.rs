@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 
 use dagman::driver::Dagman;
-use dagman::monitor::{dag_metrics, per_dagman_stats};
+use dagman::monitor::{dag_metrics, per_dagman_stats, write_metrics};
 use dagman::rescue::{parse_rescue, rescue_file, resume};
 use fdw_obs::digest::{fnv1a_f64, DIGEST_INIT};
 use fdw_obs::Obs;
@@ -174,12 +174,9 @@ pub fn run_chaos_campaign(
 /// [`run_chaos_campaign`] with a telemetry handle. Each round runs on its
 /// own trace process lane (`pid` = round number) with timestamps shifted
 /// so the rounds tile one continuous timeline; a `chaos`-category span
-/// covers every round and a `rescue` instant marks each round-trip. When
-/// the handle is enabled, the reported retry/hold totals are the
-/// campaign's *deltas* of the `dagman.retries`/`dagman.holds` registry
-/// counters — the registry is the system of record, and the DAGMan's own
-/// tallies are reconciled against it in tests. Campaigns sharing one
-/// sink must run sequentially for the deltas to be attributable.
+/// covers every round and a `rescue` instant marks each round-trip. The
+/// reported retry/hold totals are the rounds' DAGMan tallies, the same
+/// counts each round writes to the registry when it ends.
 pub fn run_chaos_campaign_with_obs(
     class: FaultClass,
     intensity: f64,
@@ -192,8 +189,6 @@ pub fn run_chaos_campaign_with_obs(
     class.apply(intensity, &mut cfg);
     let total = cfg.total_jobs() as usize;
 
-    let retries0 = obs.counter("dagman.retries");
-    let holds0 = obs.counter("dagman.holds");
     obs.inc("chaos.campaigns", 1);
 
     let mut dm = Dagman::new(build_fdw_dag(&cfg)?, OwnerId(0)).with_speculation(cfg.speculation);
@@ -206,8 +201,8 @@ pub fn run_chaos_campaign_with_obs(
     repaired_cluster.defense = cfg.defense;
 
     let mut rounds = 0u32;
-    let mut dm_retries = 0u64;
-    let mut dm_holds = 0u64;
+    let mut retries = 0u64;
+    let mut holds = 0u64;
     let mut first_round_failures = 0usize;
     let mut rescue_files: Vec<String> = Vec::new();
     let mut round_metrics: Vec<String> = Vec::new();
@@ -238,8 +233,9 @@ pub fn run_chaos_campaign_with_obs(
         let report = Cluster::new(cluster, cfg.seed.wrapping_add(rounds as u64))
             .with_obs(round_obs.clone())
             .run(&mut dm);
-        dm_retries += dm.retries();
-        dm_holds += dm.holds();
+        write_metrics(&dm, &round_obs);
+        retries += dm.retries();
+        holds += dm.holds();
         defense.blacklists += report.defense.blacklists;
         defense.paroles += report.defense.paroles;
         defense.quarantines += report.defense.quarantines;
@@ -247,7 +243,7 @@ pub fn run_chaos_campaign_with_obs(
         spec_wasted_s += dm.wasted_speculative_seconds();
         obs.inc("chaos.rounds", 1);
         let makespan_s = report.makespan.as_secs();
-        round_obs.span("chaos", &format!("round:{rounds}"), 0, 0, makespan_s);
+        round_obs.span("chaos", format_args!("round:{rounds}"), 0, 0, makespan_s);
         crate::workflow::record_phase_spans(&round_obs, &report, std::slice::from_ref(&dm));
         if report.timed_out {
             return Err(format!(
@@ -290,14 +286,6 @@ pub fn run_chaos_campaign_with_obs(
             resume(build_fdw_dag(&repaired)?, &done, OwnerId(0))?.with_speculation(cfg.speculation);
     }
 
-    let (retries, holds) = if obs.is_enabled() {
-        (
-            obs.counter("dagman.retries") - retries0,
-            obs.counter("dagman.holds") - holds0,
-        )
-    } else {
-        (dm_retries, dm_holds)
-    };
     let done: BTreeSet<String> = dm.done_nodes().iter().map(|s| s.to_string()).collect();
     let digest = science_digest(base_cfg, &done)?;
     Ok(ChaosReport {

@@ -729,6 +729,52 @@ mod tests {
         assert!(FdwConfig::parse("fault_hold = -0.1\n").is_err());
     }
 
+    /// `template` with `{}` replaced by each non-finite spelling `f64`
+    /// parses must fail validation.
+    fn rejects_non_finite(template: &str) {
+        for v in ["NaN", "inf", "-inf"] {
+            let text = template.replace("{}", v);
+            assert!(FdwConfig::parse(&text).is_err(), "accepted {text:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_hold_release_is_rejected() {
+        rejects_non_finite("fault_hold = 0.5\nfault_hold_release_s = {}\n");
+    }
+
+    #[test]
+    fn non_finite_outage_start_is_rejected() {
+        rejects_non_finite("fault_pool_outage_start_s = {}\n");
+    }
+
+    #[test]
+    fn non_finite_outage_duration_is_rejected() {
+        rejects_non_finite("fault_pool_outage_s = {}\n");
+    }
+
+    #[test]
+    fn non_finite_partition_start_is_rejected() {
+        rejects_non_finite("fault_partition_start_s = {}\n");
+    }
+
+    #[test]
+    fn non_finite_partition_duration_is_rejected() {
+        rejects_non_finite("fault_partition_s = {}\n");
+    }
+
+    #[test]
+    fn non_finite_checkpoint_interval_is_rejected() {
+        rejects_non_finite(
+            "federation_enabled = true\ncheckpoint_enabled = true\ncheckpoint_interval_s = {}\n",
+        );
+    }
+
+    #[test]
+    fn non_finite_cloud_spinup_is_rejected() {
+        rejects_non_finite("federation_enabled = true\nfederation_spinup_s = {}\n");
+    }
+
     #[test]
     fn parse_validates_result() {
         assert!(FdwConfig::parse("n_waveforms = 0\n").is_err());

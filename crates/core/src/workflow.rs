@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use dagman::driver::MultiDagman;
-use dagman::monitor::{dag_metrics, mean_sd, per_dagman_stats, DagmanStats, MeanSd};
+use dagman::monitor::{dag_metrics, mean_sd, per_dagman_stats, write_metrics, DagmanStats, MeanSd};
 use fdw_obs::Obs;
 use htcsim::cluster::{Cluster, ClusterConfig, RunReport};
 use htcsim::job::JobSpec;
@@ -104,8 +104,9 @@ pub fn run_concurrent_fdw(
 
 /// [`run_concurrent_fdw`] with a telemetry handle threaded through the
 /// cluster and every DAGMan. Per-phase spans land in trace category
-/// `phase` (one track per owner), pool/transfer metrics under `pool.*`
-/// and `xfer.*`, DAG engine metrics under `dagman.*`.
+/// `phase` (one track per owner). The pool/transfer metrics (`pool.*`,
+/// `xfer.*`) and DAG engine metrics (`dagman.*`) are written once, from
+/// the run's tallies, when the cluster run ends.
 pub fn run_concurrent_fdw_with_obs(
     base_cfg: &FdwConfig,
     n_dagmans: usize,
@@ -150,6 +151,9 @@ pub fn run_concurrent_fdw_with_obs(
     let report = Cluster::new(cluster_cfg, seed)
         .with_obs(obs.clone())
         .run(&mut multi);
+    for dm in multi.dagmans() {
+        write_metrics(dm, obs);
+    }
     if report.timed_out {
         return Err(format!(
             "simulation hit the time cap with {} of {} jobs complete",
@@ -245,12 +249,10 @@ pub fn replicate_fdw(
 
 /// [`replicate_fdw`] recording per-DAGMan samples into the registry as
 /// histograms `fdw.{scope}.runtime_h` and `fdw.{scope}.throughput_jpm`
-/// (plus a `fdw.{scope}.replications` counter). When the handle is
-/// enabled, the returned spreads are derived from those histograms'
-/// exact moments, so quantities a bench binary reads back out of the
-/// registry agree with what this function returns. Use one `scope` per
-/// aggregated configuration — samples recorded under the same scope on
-/// the same sink pool together.
+/// (plus a `fdw.{scope}.replications` counter). The returned spreads
+/// come from this call's samples. Use one `scope` per aggregated
+/// configuration — samples recorded under the same scope on the same
+/// sink pool together in the registry.
 #[allow(clippy::too_many_arguments)]
 pub fn replicate_fdw_with_obs(
     cfg: &FdwConfig,
@@ -263,52 +265,33 @@ pub fn replicate_fdw_with_obs(
 ) -> Result<ReplicatedStats, String> {
     let rt_name = format!("fdw.{scope}.runtime_h");
     let tp_name = format!("fdw.{scope}.throughput_jpm");
-    let outcomes: Vec<Result<FdwOutcome, String>> = seeds
-        .iter()
-        .map(|&seed| {
-            run_concurrent_fdw_with_obs(
-                cfg,
-                n_dagmans,
-                total_waveforms,
-                cluster_cfg.clone(),
-                seed,
-                obs,
-            )
-        })
-        .collect();
     let mut runtimes = Vec::new();
+    let mut throughputs = Vec::new();
     let mut through_inputs = Vec::new();
-    for out in outcomes {
-        let out = out?;
+    for &seed in seeds {
+        let out = run_concurrent_fdw_with_obs(
+            cfg,
+            n_dagmans,
+            total_waveforms,
+            cluster_cfg.clone(),
+            seed,
+            obs,
+        )?;
         obs.inc(&format!("fdw.{scope}.replications"), 1);
         for h in out.runtimes_hours() {
             obs.observe(&rt_name, h);
             runtimes.push(h);
         }
         for (j, r) in out.throughput_inputs() {
-            obs.observe(&tp_name, if r > 0.0 { j as f64 / r } else { 0.0 });
+            let jpm = if r > 0.0 { j as f64 / r } else { 0.0 };
+            obs.observe(&tp_name, jpm);
+            throughputs.push(jpm);
             through_inputs.push((j, r));
         }
     }
-    let throughputs: Vec<f64> = through_inputs
-        .iter()
-        .map(|(j, r)| if *r > 0.0 { *j as f64 / r } else { 0.0 })
-        .collect();
-    let from_hist = |s: fdw_obs::metrics::HistStats| MeanSd {
-        mean: s.mean,
-        sd: s.sd,
-        min: s.min,
-        max: s.max,
-    };
-    let mut runtime_h = match obs.histogram_stats(&rt_name) {
-        Some(s) => from_hist(s),
-        None => mean_sd(&runtimes),
-    };
+    let mut runtime_h = mean_sd(&runtimes);
     runtime_h.mean = stats::concurrent_avg_runtime(&runtimes);
-    let mut throughput_jpm = match obs.histogram_stats(&tp_name) {
-        Some(s) => from_hist(s),
-        None => mean_sd(&throughputs),
-    };
+    let mut throughput_jpm = mean_sd(&throughputs);
     throughput_jpm.mean = stats::concurrent_avg_throughput(&through_inputs);
     Ok(ReplicatedStats {
         runtime_h,
@@ -481,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn replicated_stats_come_from_the_registry() {
+    fn replicated_stats_match_the_registry() {
         let cfg = small_cfg(32);
         let obs = Obs::metrics_only();
         let reps =

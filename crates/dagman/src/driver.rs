@@ -9,6 +9,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use fdw_obs::digest::{fnv1a, fnv1a_word, DIGEST_INIT};
+use fdw_obs::metrics::Histogram;
 use fdw_obs::Obs;
 use htcsim::cluster::WorkloadDriver;
 use htcsim::job::{JobEvent, JobEventKind, JobId, OwnerId, SubmitRequest};
@@ -80,6 +81,8 @@ pub struct Dagman {
     /// Nodes submitted and not yet started (idle in the queue).
     idle: usize,
     done: usize,
+    /// Nodes a rescue file marked done before this run started.
+    pub(crate) rescued: usize,
     failed: usize,
     /// Pending submissions awaiting id assignment, in order; the flag
     /// marks speculative duplicates.
@@ -99,14 +102,17 @@ pub struct Dagman {
     holds: u64,
     /// Retries actually performed.
     retries_done: u64,
-    /// Set when an `ABORT-DAG-ON` node exited with its trigger code.
-    aborted: bool,
+    /// `ABORT-DAG-ON` nodes that exited with their trigger code; the
+    /// first stops the DAG.
+    pub(crate) aborts: u64,
     /// Nodes that can never run because an ancestor failed permanently.
     futile: Vec<bool>,
     /// Count of futile nodes (they settle the DAG without running).
     futile_count: usize,
     /// Release events observed across all nodes.
     releases: u64,
+    /// Retry backoff waits, seconds (0 for an immediate retry).
+    pub(crate) backoff_wait_s: Histogram,
     /// When each node's current attempt was submitted (span bookkeeping).
     submit_at: Vec<SimTime>,
     /// Telemetry handle (disabled by default).
@@ -133,7 +139,8 @@ pub struct Dagman {
     speculations: u64,
     spec_wins: u64,
     spec_losses: u64,
-    wasted_spec_s: f64,
+    /// Execution seconds of each cancelled speculative loser.
+    pub(crate) spec_wasted_s: Histogram,
 }
 
 impl Dagman {
@@ -161,6 +168,7 @@ impl Dagman {
             in_flight: 0,
             idle: 0,
             done: 0,
+            rescued: 0,
             failed: 0,
             awaiting_assign: std::collections::VecDeque::new(),
             has_priorities,
@@ -170,10 +178,11 @@ impl Dagman {
             now: SimTime(0),
             holds: 0,
             retries_done: 0,
-            aborted: false,
+            aborts: 0,
             futile: vec![false; n],
             futile_count: 0,
             releases: 0,
+            backoff_wait_s: Histogram::default(),
             submit_at: vec![SimTime(0); n],
             obs: Obs::disabled(),
             speculate: false,
@@ -187,7 +196,7 @@ impl Dagman {
             speculations: 0,
             spec_wins: 0,
             spec_losses: 0,
-            wasted_spec_s: 0.0,
+            spec_wasted_s: Histogram::default(),
         }
     }
 
@@ -197,8 +206,9 @@ impl Dagman {
         self
     }
 
-    /// Attach a telemetry handle. Node spans land in category `dagman`,
-    /// metrics under `dagman.*`.
+    /// Attach a telemetry handle for node spans (category `dagman`).
+    /// The `dagman.*` metrics are written once per run, from this
+    /// DAGMan's tallies, by [`crate::monitor::write_metrics`].
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -269,7 +279,7 @@ impl Dagman {
 
     /// True when an `ABORT-DAG-ON` trigger stopped the DAG.
     pub fn aborted(&self) -> bool {
-        self.aborted
+        self.aborts > 0
     }
 
     /// Speculative duplicates launched.
@@ -289,7 +299,7 @@ impl Dagman {
 
     /// Execution seconds burned by cancelled speculative losers.
     pub fn wasted_speculative_seconds(&self) -> f64 {
-        self.wasted_spec_s
+        self.spec_wasted_s.stats().sum
     }
 
     /// Name of the node a cluster job id was submitted under, if this
@@ -313,6 +323,7 @@ impl Dagman {
     pub(crate) fn force_done_inner(&mut self, node: NodeId) {
         self.state[node.0] = NodeState::Done;
         self.done += 1;
+        self.rescued += 1;
         self.ready.retain(|&r| r != node);
         let children = self.dag.node(node).children.clone();
         for c in children {
@@ -337,10 +348,9 @@ impl Dagman {
         self.state[node.0] = NodeState::Done;
         self.done += 1;
         self.in_flight -= 1;
-        self.obs.inc("dagman.nodes_done", 1);
         self.obs.span(
             "dagman",
-            &format!("node:{}", self.dag.node(node).name),
+            format_args!("node:{}", self.dag.node(node).name),
             self.node_tid(node),
             self.submit_at[node.0].as_secs(),
             self.now.as_secs(),
@@ -359,14 +369,13 @@ impl Dagman {
     /// backoff, or fail the node for good when the budget is spent.
     fn mark_removed(&mut self, node: NodeId) {
         self.in_flight -= 1;
-        if !self.aborted && self.remaining_retries[node.0] > 0 {
+        if !self.aborted() && self.remaining_retries[node.0] > 0 {
             self.remaining_retries[node.0] -= 1;
             self.retries_done += 1;
-            self.obs.inc("dagman.retries", 1);
             let nd = self.dag.node(node);
             let base = nd.retry_defer_s;
             if base == 0 {
-                self.obs.observe("dagman.backoff_wait_s", 0.0);
+                self.backoff_wait_s.observe(0.0);
                 self.state[node.0] = NodeState::Ready;
                 self.ready.push(node);
             } else {
@@ -378,11 +387,10 @@ impl Dagman {
                     .unwrap_or(u64::MAX)
                     .min(MAX_BACKOFF_S);
                 let jitter = backoff_jitter(&nd.name, k) % (delay / 4 + 1);
-                self.obs
-                    .observe("dagman.backoff_wait_s", (delay + jitter) as f64);
+                self.backoff_wait_s.observe((delay + jitter) as f64);
                 self.obs.span(
                     "dagman",
-                    &format!("backoff:{}", nd.name),
+                    format_args!("backoff:{}", nd.name),
                     self.node_tid(node),
                     self.now.as_secs(),
                     (self.now + delay + jitter).as_secs(),
@@ -393,10 +401,9 @@ impl Dagman {
         } else {
             self.state[node.0] = NodeState::Failed;
             self.failed += 1;
-            self.obs.inc("dagman.nodes_failed", 1);
             self.obs.span(
                 "dagman",
-                &format!("node:{}", self.dag.node(node).name),
+                format_args!("node:{}", self.dag.node(node).name),
                 self.node_tid(node),
                 self.submit_at[node.0].as_secs(),
                 self.now.as_secs(),
@@ -412,7 +419,6 @@ impl Dagman {
             if self.state[d.0] == NodeState::Waiting && !self.futile[d.0] {
                 self.futile[d.0] = true;
                 self.futile_count += 1;
-                self.obs.inc("dagman.nodes_futile", 1);
             }
         }
     }
@@ -468,7 +474,6 @@ impl Dagman {
                     // cluster releases and re-matches it.
                     self.exec_started.remove(&ev.job);
                     self.holds += 1;
-                    self.obs.inc("dagman.holds", 1);
                     if is_primary && self.state[node.0] == NodeState::Started {
                         self.state[node.0] = NodeState::Queued;
                         self.idle += 1;
@@ -478,7 +483,6 @@ impl Dagman {
                     // Still queued from DAGMan's perspective; only the
                     // release tally moves.
                     self.releases += 1;
-                    self.obs.inc("dagman.releases", 1);
                 }
                 JobEventKind::Completed => self.complete(ev, node),
                 JobEventKind::Failed => {
@@ -503,12 +507,10 @@ impl Dagman {
                         if let Some(dup) = self.spec_job[node.0].take() {
                             self.cancel(dup);
                         }
-                        self.aborted = true;
+                        self.aborts += 1;
                         self.in_flight -= 1;
                         self.state[node.0] = NodeState::Failed;
                         self.failed += 1;
-                        self.obs.inc("dagman.aborts", 1);
-                        self.obs.inc("dagman.nodes_failed", 1);
                         self.mark_futile_descendants(node);
                     } else if self.promote_duplicate(node) {
                         // The duplicate carries on; no retry consumed.
@@ -573,13 +575,11 @@ impl Dagman {
         let primary = self.primary_job[node.0].take();
         if dup == Some(ev.job) {
             self.spec_wins += 1;
-            self.obs.inc("dagman.spec_wins", 1);
             if let Some(loser) = primary {
                 self.cancel(loser);
             }
         } else if let Some(loser) = dup {
             self.spec_losses += 1;
-            self.obs.inc("dagman.spec_losses", 1);
             self.cancel(loser);
         }
         if self.state[node.0] == NodeState::Queued {
@@ -602,9 +602,7 @@ impl Dagman {
             JobEventKind::Removed | JobEventKind::Failed | JobEventKind::Completed => {
                 self.cancelled.remove(&ev.job);
                 if let Some(start) = self.exec_started.remove(&ev.job) {
-                    let wasted = ev.time.since(start) as f64;
-                    self.wasted_spec_s += wasted;
-                    self.obs.observe("dagman.spec_wasted_s", wasted);
+                    self.spec_wasted_s.observe(ev.time.since(start) as f64);
                 }
                 if self.spec_job[node.0] == Some(ev.job) {
                     self.spec_job[node.0] = None;
@@ -683,7 +681,6 @@ impl Dagman {
             self.speculated[i] = true;
             self.speculations += 1;
             self.attempts[i] += 1;
-            self.obs.inc("dagman.speculations", 1);
             self.obs.instant(
                 "dagman",
                 "speculate",
@@ -735,7 +732,6 @@ impl Dagman {
             self.state[node.0] = NodeState::Queued;
             self.attempts[node.0] += 1;
             self.submit_at[node.0] = self.now;
-            self.obs.inc("dagman.submissions", 1);
             self.in_flight += 1;
             self.idle += 1;
             // A fresh attempt gets a fresh speculation budget.
@@ -763,7 +759,7 @@ impl WorkloadDriver for Dagman {
         self.now = now;
         self.process(events);
         self.drain_deferred();
-        if self.aborted {
+        if self.aborted() {
             return Vec::new();
         }
         let mut subs = self.submissions();
@@ -789,7 +785,7 @@ impl WorkloadDriver for Dagman {
     }
 
     fn is_done(&self) -> bool {
-        (self.aborted && self.in_flight == 0)
+        (self.aborted() && self.in_flight == 0)
             || self.done + self.failed + self.futile_count == self.dag.len()
     }
 }

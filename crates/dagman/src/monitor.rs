@@ -281,6 +281,36 @@ pub fn dag_metrics(
     }
 }
 
+/// Write one DAGMan's `dagman.*` tallies to the registry, once, when its
+/// cluster run ends (the registry's counterpart of [`dag_metrics`]). An
+/// event count appears once it is non-zero, as per-event writes would
+/// leave it. Backoff waits and wasted speculation are whole seconds, so
+/// merging their histograms sums exactly as observing each would.
+pub fn write_metrics(dm: &crate::driver::Dagman, obs: &fdw_obs::Obs) {
+    for (name, n) in [
+        (
+            "dagman.submissions",
+            dm.total_attempts() - dm.speculations(),
+        ),
+        ("dagman.nodes_done", (dm.completed() - dm.rescued) as u64),
+        ("dagman.nodes_failed", dm.failed() as u64),
+        ("dagman.nodes_futile", dm.futile() as u64),
+        ("dagman.retries", dm.retries()),
+        ("dagman.holds", dm.holds()),
+        ("dagman.releases", dm.releases()),
+        ("dagman.aborts", dm.aborts),
+        ("dagman.speculations", dm.speculations()),
+        ("dagman.spec_wins", dm.spec_wins()),
+        ("dagman.spec_losses", dm.spec_losses()),
+    ] {
+        if n > 0 {
+            obs.inc(name, n);
+        }
+    }
+    obs.merge_histogram("dagman.backoff_wait_s", &dm.backoff_wait_s);
+    obs.merge_histogram("dagman.spec_wasted_s", &dm.spec_wasted_s);
+}
+
 /// Aggregate statistics across replicated runs: mean and population SD.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanSd {
@@ -578,6 +608,7 @@ mod tests {
         )
         .with_obs(obs.clone())
         .run(&mut dm);
+        write_metrics(&dm, &obs);
         assert_eq!(dm.completed(), 12);
         let stats = per_dagman_stats(&report);
         let s = &stats[0];
@@ -652,6 +683,7 @@ mod tests {
         )
         .with_obs(obs.clone())
         .run(&mut dm);
+        write_metrics(&dm, &obs);
         assert!(dm.is_done());
         let stats = per_dagman_stats(&report);
         let m = dag_metrics(&dm, &stats[0], 0, report.defense, report.federation);

@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use fdw_obs::metrics::Histogram;
 use fdw_obs::Obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,6 +148,27 @@ pub struct PoolSample {
     pub idle_jobs: usize,
 }
 
+/// The run's own counts of pool events, the only tally: the report reads
+/// its totals here, and [`Cluster::write_metrics`] writes them once.
+#[derive(Debug, Default)]
+struct Tally {
+    matches: u64,
+    /// Jobs a negotiation cycle could not place (requirements unmet).
+    holdbacks: u64,
+    /// Attempts fated to fail (black hole, poisoned input, planned exit).
+    faults_injected: u64,
+    exec_failures: u64,
+    evictions: u64,
+    holds: u64,
+    /// Holds per [`HoldReason::key`].
+    holds_by_reason: BTreeMap<&'static str, u64>,
+    releases: u64,
+    /// Jobs removed by the workload (`condor_rm`).
+    removals: u64,
+    stage_in_s: Histogram,
+    stage_out_s: Histogram,
+}
+
 /// Result of a cluster run.
 #[derive(Debug)]
 pub struct RunReport {
@@ -206,7 +228,6 @@ pub struct Cluster {
     next_job: u64,
     now: SimTime,
     pending_events: Vec<JobEvent>,
-    evictions: u64,
     /// Rotating index into the free-slot list (spreads jobs over sites).
     slot_cursor: usize,
     /// Origin transfers currently in flight (uplink contention).
@@ -223,8 +244,7 @@ pub struct Cluster {
     scoreboard: Scoreboard,
     /// Federated multi-pool layer (None: classic single-pool run).
     federation: Option<Federation>,
-    holds: u64,
-    exec_failures: u64,
+    tally: Tally,
     /// Telemetry handle (disabled by default: zero overhead).
     obs: Obs,
 }
@@ -259,7 +279,6 @@ impl Cluster {
             next_job: 0,
             now: SimTime::ZERO,
             pending_events: Vec::new(),
-            evictions: 0,
             slot_cursor: 0,
             active_origin: 0,
             origin_users: std::collections::HashSet::new(),
@@ -268,14 +287,14 @@ impl Cluster {
             attempt_counts: HashMap::new(),
             scoreboard,
             federation,
-            holds: 0,
-            exec_failures: 0,
+            tally: Tally::default(),
             obs: Obs::disabled(),
         }
     }
 
-    /// Attach a telemetry handle. Spans land in category `pool`, metrics
-    /// under `pool.*` / `xfer.*` / `cache.*`.
+    /// Attach a telemetry handle. Spans land in category `pool` as they
+    /// happen; `pool.*`, `xfer.*` and `cache.*` metrics are written once
+    /// per run, from the run's tallies, when [`Cluster::run`] ends.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -305,58 +324,78 @@ impl Cluster {
                 break;
             }
         }
-        self.obs.inc("cache.hits", self.cache.hits());
-        self.obs.inc("cache.misses", self.cache.misses());
-        self.obs.inc("cache.quarantines", self.cache.quarantines());
         // Settle trust state at campaign end: a machine blacklisted right
         // at the end must not read as still-blacklisted in final metrics
         // once its parole timer elapsed.
-        let paroles_before = self.scoreboard.stats().paroles;
         self.scoreboard.reckon(self.now.as_secs() as f64);
-        let settled = self.scoreboard.stats().paroles - paroles_before;
-        if settled > 0 {
-            self.obs.inc("pool.defense.paroles", settled);
-        }
-        let federation = self
-            .federation
-            .as_ref()
-            .map(|f| f.stats())
-            .unwrap_or_default();
-        if self.federation.is_some() {
-            self.obs.inc("pool.federation.outages", federation.outages);
-            self.obs
-                .inc("pool.federation.preemptions", federation.preemptions);
-            self.obs.inc(
-                "pool.federation.partition_stalls",
-                federation.partition_stalls,
-            );
-            self.obs
-                .inc("pool.federation.migrations", federation.migrations);
-            self.obs
-                .inc("pool.federation.checkpoints", federation.checkpoints);
-            self.obs.inc("pool.federation.resumes", federation.resumes);
-            self.obs
-                .inc("pool.federation.breaker_opens", federation.breaker_opens);
-            self.obs
-                .inc("pool.federation.breaker_probes", federation.breaker_probes);
-            self.obs
-                .inc("pool.federation.breaker_closes", federation.breaker_closes);
-            self.obs.inc("pool.federation.drained", federation.drained);
-        }
+        let federation = self.federation.as_ref().map(|f| f.stats());
+        let completed = self.log.completed_count();
+        self.write_metrics(completed, federation);
         RunReport {
             makespan: self.log.makespan(),
-            completed: self.log.completed_count(),
-            evictions: self.evictions,
-            holds: self.holds,
-            exec_failures: self.exec_failures,
+            completed,
+            evictions: self.tally.evictions,
+            holds: self.tally.holds,
+            exec_failures: self.tally.exec_failures,
             cache_hit_rate: self.cache.hit_rate(),
             log: self.log,
             job_names: self.job_names,
             timed_out,
             pool_series: self.pool_series,
             defense: self.scoreboard.stats(),
-            federation,
+            federation: federation.unwrap_or_default(),
         }
+    }
+
+    /// Write the run's tallies to the registry once, at its end, with the
+    /// keys per-event writes would leave: an event count once non-zero;
+    /// cache and federation totals and the last cycle's gauges always.
+    /// Stage times are whole seconds, so the merged sums are exact.
+    fn write_metrics(&self, completed: usize, federation: Option<FederationStats>) {
+        let (obs, t) = (&self.obs, &self.tally);
+        let joined = self.pool.machines_joined();
+        let defense = self.scoreboard.stats();
+        for (name, n) in [
+            ("pool.machines_joined", joined),
+            (
+                "pool.machines_departed",
+                joined - self.pool.machine_count() as u64,
+            ),
+            ("pool.negotiation_cycles", self.pool_series.len() as u64),
+            ("pool.matches", t.matches),
+            ("pool.holdbacks", t.holdbacks),
+            ("pool.faults_injected", t.faults_injected),
+            ("pool.exec_failures", t.exec_failures),
+            ("pool.completions", completed as u64),
+            ("pool.evictions", t.evictions),
+            ("pool.holds", t.holds),
+            ("pool.releases", t.releases),
+            ("pool.removals", t.removals),
+            ("pool.defense.blacklists", defense.blacklists),
+            ("pool.defense.paroles", defense.paroles),
+            ("pool.defense.quarantines", defense.quarantines),
+        ] {
+            if n > 0 {
+                obs.inc(name, n);
+            }
+        }
+        for (reason, n) in &t.holds_by_reason {
+            obs.inc(&format!("pool.holds.{reason}"), *n);
+        }
+        obs.inc("cache.hits", self.cache.hits());
+        obs.inc("cache.misses", self.cache.misses());
+        obs.inc("cache.quarantines", self.cache.quarantines());
+        for (name, n) in federation.iter().flat_map(|f| f.counters()) {
+            obs.inc(name, n);
+        }
+        if let Some(last) = self.pool_series.last() {
+            obs.gauge("pool.total_slots", last.total_slots as f64);
+            obs.gauge("pool.busy_slots", last.busy_slots as f64);
+            obs.gauge("pool.avail_frac", last.avail_frac);
+            obs.gauge("pool.idle_jobs", last.idle_jobs as f64);
+        }
+        obs.merge_histogram("xfer.stage_in_s", &t.stage_in_s);
+        obs.merge_histogram("xfer.stage_out_s", &t.stage_out_s);
     }
 
     fn bootstrap(&mut self) {
@@ -367,7 +406,6 @@ impl Cluster {
             if let Some(f) = self.federation.as_mut() {
                 f.assign_machine(id);
             }
-            self.obs.inc("pool.machines_joined", 1);
             self.queue
                 .push(self.now + life as u64, Event::MachineDepart(id));
         }
@@ -443,7 +481,7 @@ impl Cluster {
         }
         let owner = j.owner;
         self.vacate(job, JobState::Removed);
-        self.obs.inc("pool.removals", 1);
+        self.tally.removals += 1;
         self.obs
             .instant("pool", "remove", job.0, self.now.as_secs());
         self.emit(job, owner, JobEventKind::Removed);
@@ -505,9 +543,6 @@ impl Cluster {
     /// Feed one execution outcome into the reliability scoreboard and
     /// surface any resulting blacklist in the telemetry.
     fn record_exec_outcome(&mut self, machine: MachineId, exec_at: SimTime, failed: bool) {
-        if !self.config.defense.scoreboard_enabled {
-            return;
-        }
         let before = self.scoreboard.stats().blacklists;
         self.scoreboard.record_exec(
             machine,
@@ -516,7 +551,6 @@ impl Cluster {
             failed,
         );
         if self.scoreboard.stats().blacklists > before {
-            self.obs.inc("pool.defense.blacklists", 1);
             self.obs
                 .instant("pool", "blacklist", machine.0, self.now.as_secs());
         }
@@ -590,15 +624,7 @@ impl Cluster {
     fn hold_job(&mut self, job: JobId, reason: HoldReason) {
         let owner = self.jobs[&job].owner;
         self.vacate(job, JobState::Held);
-        self.holds += 1;
-        self.obs.inc("pool.holds", 1);
-        self.obs.inc(&format!("pool.holds.{}", reason.key()), 1);
-        self.obs.instant(
-            "pool",
-            &format!("hold:{}", reason.key()),
-            job.0,
-            self.now.as_secs(),
-        );
+        self.count_hold(job, reason);
         // Checksum holds are a defense-internal re-queue (release, then
         // re-fetch from origin), far shorter than an operator-scale hold.
         let wait = if reason == HoldReason::ChecksumMismatch {
@@ -608,6 +634,14 @@ impl Cluster {
         };
         self.schedule(self.now + wait, job, JobStep::Release);
         self.emit_event(JobEvent::new(self.now, job, owner, JobEventKind::Held).with_hold(reason));
+    }
+
+    /// Count a hold in the tally and mark it in the trace.
+    fn count_hold(&mut self, job: JobId, reason: HoldReason) {
+        self.tally.holds += 1;
+        *self.tally.holds_by_reason.entry(reason.key()).or_default() += 1;
+        let hold = format_args!("hold:{}", reason.key());
+        self.obs.instant("pool", hold, job.0, self.now.as_secs());
     }
 
     /// Schedule `step` of the job's current attempt, under the job's
@@ -645,7 +679,6 @@ impl Cluster {
                 if let Some(f) = self.federation.as_mut() {
                     f.assign_machine(id);
                 }
-                self.obs.inc("pool.machines_joined", 1);
                 self.obs
                     .instant("pool", "machine_join", id.0, self.now.as_secs());
                 self.queue
@@ -660,7 +693,6 @@ impl Cluster {
                     if let Some(f) = self.federation.as_mut() {
                         f.forget_machine(mid);
                     }
-                    self.obs.inc("pool.machines_departed", 1);
                     self.obs
                         .instant("pool", "machine_depart", mid.0, self.now.as_secs());
                     self.evict_machine_jobs(mid);
@@ -788,9 +820,7 @@ impl Cluster {
         } else {
             j.pending_exit = self.plan.exec_exit(&j.spec.name, salt);
         }
-        if j.pending_exit.is_some() {
-            self.obs.inc("pool.faults_injected", 1);
-        }
+        self.tally.faults_injected += u64::from(j.pending_exit.is_some());
         let owner = j.owner;
         let timeout = j.spec.timeout_s;
         // Spot reclamation: attempts on the elastic cloud pool may be
@@ -821,8 +851,8 @@ impl Cluster {
             stage_in_at.as_secs(),
             self.now.as_secs(),
         );
-        self.obs
-            .observe("xfer.stage_in_s", self.now.since(stage_in_at) as f64);
+        let stage_in_s = self.now.since(stage_in_at) as f64;
+        self.tally.stage_in_s.observe(stage_in_s);
         self.emit(job, owner, JobEventKind::ExecuteStarted);
     }
 
@@ -836,8 +866,7 @@ impl Cluster {
             if let Some(m) = machine {
                 self.record_exec_outcome(m, exec_at, true);
             }
-            self.exec_failures += 1;
-            self.obs.inc("pool.exec_failures", 1);
+            self.tally.exec_failures += 1;
             self.obs
                 .span("pool", "exec", job.0, exec_at.as_secs(), self.now.as_secs());
             self.emit_event(
@@ -887,9 +916,8 @@ impl Cluster {
             stage_out_at.as_secs(),
             self.now.as_secs(),
         );
-        self.obs
-            .observe("xfer.stage_out_s", self.now.since(stage_out_at) as f64);
-        self.obs.inc("pool.completions", 1);
+        let stage_out_s = self.now.since(stage_out_at) as f64;
+        self.tally.stage_out_s.observe(stage_out_s);
         self.emit_event(JobEvent::new(self.now, job, owner, JobEventKind::Completed).with_exit(0));
     }
 
@@ -898,7 +926,7 @@ impl Cluster {
         self.advance(job, JobState::Idle);
         self.requeue(job, false);
         let owner = self.jobs[&job].owner;
-        self.obs.inc("pool.releases", 1);
+        self.tally.releases += 1;
         self.obs
             .instant("pool", "release", job.0, self.now.as_secs());
         self.emit(job, owner, JobEventKind::Released);
@@ -911,20 +939,9 @@ impl Cluster {
         let j = &self.jobs[&job];
         let (owner, exec_at) = (j.owner, j.exec_at);
         self.vacate(job, JobState::Removed);
-        self.holds += 1;
-        self.obs.inc("pool.holds", 1);
-        self.obs.inc(
-            &format!("pool.holds.{}", HoldReason::WallTimeExceeded.key()),
-            1,
-        );
         self.obs
             .span("pool", "exec", job.0, exec_at.as_secs(), self.now.as_secs());
-        self.obs.instant(
-            "pool",
-            &format!("hold:{}", HoldReason::WallTimeExceeded.key()),
-            job.0,
-            self.now.as_secs(),
-        );
+        self.count_hold(job, HoldReason::WallTimeExceeded);
         self.emit_event(
             JobEvent::new(self.now, job, owner, JobEventKind::Held)
                 .with_hold(HoldReason::WallTimeExceeded),
@@ -1062,8 +1079,7 @@ impl Cluster {
             j.evictions += 1;
             let exhausted = limit > 0 && j.evictions >= limit;
             let owner = j.owner;
-            self.evictions += 1;
-            self.obs.inc("pool.evictions", 1);
+            self.tally.evictions += 1;
             self.obs
                 .instant("pool", "eviction", id.0, self.now.as_secs());
             if exhausted {
@@ -1091,15 +1107,6 @@ impl Cluster {
             avail_frac: self.pool.avail_frac(),
             idle_jobs,
         });
-        self.obs.inc("pool.negotiation_cycles", 1);
-        if self.obs.is_enabled() {
-            self.obs
-                .gauge("pool.total_slots", self.pool.total_slots() as f64);
-            self.obs
-                .gauge("pool.busy_slots", self.pool.busy_slots() as f64);
-            self.obs.gauge("pool.avail_frac", self.pool.avail_frac());
-            self.obs.gauge("pool.idle_jobs", idle_jobs as f64);
-        }
         // Federated burst gate: evaluated every cycle (even when the
         // budget is exhausted) so the elastic cloud's spin-up clock
         // advances deterministically with idle pressure.
@@ -1126,14 +1133,9 @@ impl Cluster {
         // suspect machines (paroled or over the EWMA threshold) fall to a
         // second tier matched only when no trusted machine fits. With the
         // scoreboard off this is the identity.
-        let paroles_before = self.scoreboard.stats().paroles;
         let (mut good, split) = self
             .scoreboard
             .admit(self.now.as_secs() as f64, free, |e| e.0);
-        let paroled = self.scoreboard.stats().paroles - paroles_before;
-        if paroled > 0 {
-            self.obs.inc("pool.defense.paroles", paroled);
-        }
         let mut suspect = good.split_off(split);
         if good.is_empty() && suspect.is_empty() {
             return;
@@ -1175,18 +1177,16 @@ impl Cluster {
                     let spec = &self.jobs[&job].spec;
                     (spec.memory_mb, spec.disk_mb)
                 };
-                let picked = match self.pick_slot(&mut good, need_mem, need_disk) {
-                    Some(s) => Some(s),
-                    None => self.pick_slot(&mut suspect, need_mem, need_disk),
-                };
-                let Some(slot) = picked else {
+                let picked = self
+                    .pick_slot(&mut good, need_mem, need_disk)
+                    .or_else(|| self.pick_slot(&mut suspect, need_mem, need_disk));
+                let Some((mid, site, ..)) = picked else {
                     // Requirements unmatched this cycle: hold the job back.
-                    self.obs.inc("pool.holdbacks", 1);
+                    self.tally.holdbacks += 1;
                     held.entry(*owner).or_default().push(job);
                     progressed = true;
                     continue;
                 };
-                let (mid, site, _speed, _, _, _) = slot;
                 self.pool.claim_slot(mid);
                 self.advance(job, JobState::TransferringInput);
                 let j = self.jobs.get_mut(&job).expect("valid job");
@@ -1224,8 +1224,6 @@ impl Cluster {
                 }
                 if staged.quarantined > 0 {
                     self.obs
-                        .inc("pool.defense.quarantines", staged.quarantined as u64);
-                    self.obs
                         .instant("pool", "quarantine", job.0, self.now.as_secs());
                 }
                 self.schedule(
@@ -1241,7 +1239,7 @@ impl Cluster {
                     );
                 }
                 self.emit(job, owner, JobEventKind::Matched);
-                self.obs.inc("pool.matches", 1);
+                self.tally.matches += 1;
                 budget -= 1;
                 progressed = true;
             }

@@ -158,8 +158,8 @@ impl PoolFaultConfig {
             ("partition_start_s", self.partition_start_s),
             ("partition_duration_s", self.partition_duration_s),
         ] {
-            if v < 0.0 {
-                return Err(format!("{name} must be non-negative, got {v}"));
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} must be finite and non-negative, got {v}"));
             }
         }
         Ok(())
@@ -208,6 +208,12 @@ impl FaultConfig {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} must be in [0, 1], got {p}"));
             }
+        }
+        if !self.hold_release_s.is_finite() {
+            return Err(format!(
+                "hold_release_s must be finite, got {}",
+                self.hold_release_s
+            ));
         }
         if self.hold_prob > 0.0 && self.hold_release_s <= 0.0 {
             return Err("hold_release_s must be positive when hold_prob > 0".into());

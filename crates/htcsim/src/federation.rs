@@ -102,11 +102,17 @@ impl FederationConfig {
         if !self.enabled {
             return Ok(());
         }
-        if self.checkpoint_enabled && self.checkpoint_interval_s <= 0.0 {
-            return Err("checkpoint_interval_s must be positive".into());
+        let interval = self.checkpoint_interval_s;
+        if self.checkpoint_enabled && !(interval.is_finite() && interval > 0.0) {
+            return Err(format!(
+                "checkpoint_interval_s must be finite and positive, got {interval}"
+            ));
         }
-        if self.cloud_spinup_s < 0.0 {
-            return Err("cloud_spinup_s must be non-negative".into());
+        let spinup = self.cloud_spinup_s;
+        if !(spinup.is_finite() && spinup >= 0.0) {
+            return Err(format!(
+                "cloud_spinup_s must be finite and non-negative, got {spinup}"
+            ));
         }
         Ok(())
     }
@@ -183,6 +189,24 @@ pub struct FederationStats {
     pub breaker_closes: u64,
     /// Queued/transferring jobs drained away from an unhealthy pool.
     pub drained: u64,
+}
+
+impl FederationStats {
+    /// The totals under their registry names, in field order.
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
+            ("pool.federation.outages", self.outages),
+            ("pool.federation.preemptions", self.preemptions),
+            ("pool.federation.partition_stalls", self.partition_stalls),
+            ("pool.federation.migrations", self.migrations),
+            ("pool.federation.checkpoints", self.checkpoints),
+            ("pool.federation.resumes", self.resumes),
+            ("pool.federation.breaker_opens", self.breaker_opens),
+            ("pool.federation.breaker_probes", self.breaker_probes),
+            ("pool.federation.breaker_closes", self.breaker_closes),
+            ("pool.federation.drained", self.drained),
+        ]
+    }
 }
 
 /// Phase-aware checkpoint record of one preempted job: how much of its

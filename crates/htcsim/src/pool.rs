@@ -154,6 +154,16 @@ impl Pool {
         (id, lifetime)
     }
 
+    /// Glideins that ever joined the pool.
+    pub fn machines_joined(&self) -> u64 {
+        self.next_machine
+    }
+
+    /// Glideins in the pool now.
+    pub fn machine_count(&self) -> usize {
+        self.machines.len()
+    }
+
     /// Remove a machine (glidein departure). Returns the machine if it was
     /// still present.
     pub fn remove_machine(&mut self, id: MachineId) -> Option<Machine> {
