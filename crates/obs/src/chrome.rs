@@ -76,9 +76,9 @@ mod tests {
     #[test]
     fn export_is_valid_json_and_time_sorted() {
         let t = Tracer::default();
-        t.complete("dagman", "node:b", 0, 2, 5_000_000, 1_000_000);
-        t.complete("pool", "stage_in", 0, 1, 1_000_000, 2_000_000);
-        t.instant("chaos", "fault", 1, 0, 1_000_000);
+        t.complete("dagman", "node:b".into(), 0, 2, 5_000_000, 1_000_000);
+        t.complete("pool", "stage_in".into(), 0, 1, 1_000_000, 2_000_000);
+        t.instant("chaos", "fault".into(), 1, 0, 1_000_000);
         let j = export(&t);
         validate(&j).unwrap();
         // ts=1e6 events come first; the complete span (seq 1) precedes
@@ -100,17 +100,17 @@ mod tests {
     #[test]
     fn categories_are_deduped_and_sorted() {
         let t = Tracer::default();
-        t.instant("pool", "a", 0, 0, 0);
-        t.instant("chaos", "b", 0, 0, 1);
-        t.instant("pool", "c", 0, 0, 2);
-        t.instant("dagman", "d", 0, 0, 3);
+        t.instant("pool", "a".into(), 0, 0, 0);
+        t.instant("chaos", "b".into(), 0, 0, 1);
+        t.instant("pool", "c".into(), 0, 0, 2);
+        t.instant("dagman", "d".into(), 0, 0, 3);
         assert_eq!(categories(&export(&t)), vec!["chaos", "dagman", "pool"]);
     }
 
     #[test]
     fn names_are_escaped() {
         let t = Tracer::default();
-        t.instant("pool", "weird\"name", 0, 0, 0);
+        t.instant("pool", "weird\"name".into(), 0, 0, 0);
         let j = export(&t);
         validate(&j).unwrap();
         assert!(j.contains("weird\\\"name"));
