@@ -257,10 +257,9 @@ impl Matrix {
     /// If the matrix is only marginally positive definite (common for dense
     /// correlation matrices with near-duplicate rows), retries with
     /// progressively larger diagonal jitter before giving up. The
-    /// factorisation is column-ordered with the sub-diagonal panel of
-    /// each column computed in parallel; every element uses the same
-    /// fixed accumulation order as [`Matrix::cholesky_reference`], so
-    /// the two agree bit-for-bit.
+    /// factorisation is column-ordered and sequential; every element
+    /// uses the same fixed accumulation order as
+    /// [`Matrix::cholesky_reference`], so the two agree bit-for-bit.
     pub fn cholesky(&self) -> FqResult<Matrix> {
         if self.rows != self.cols {
             return Err(FqError::Linalg("cholesky requires a square matrix".into()));
@@ -297,25 +296,15 @@ impl Matrix {
             }
             let diag = sum.sqrt();
             l.data[j * n + j] = diag;
-            // Sub-diagonal panel of column j: rows j+1.. are independent
-            // order-A dot products against the pivot row prefix, so they
-            // fan out across threads with chunk-aligned (row-aligned)
-            // splits.
+            // Sub-diagonal of column j: rows j+1.. are order-A dot
+            // products against the pivot row prefix. They run as a plain
+            // loop: one column is too little work to pay for a fork.
             let (done, below) = l.data.split_at_mut((j + 1) * n);
             let pivot = &done[j * n..j * n + j];
-            if below.is_empty() {
-                continue;
+            for (r, row) in below.chunks_mut(n).enumerate() {
+                let s = self.data[(j + 1 + r) * n + j] - simd::dot(&row[..j], pivot);
+                row[j] = s / diag;
             }
-            let rows_below = n - j - 1;
-            let chunk = par::chunk_for(rows_below, 32) * n;
-            par::for_each_chunk(below, chunk, |start, rows_chunk| {
-                let first_row = j + 1 + start / n;
-                for (r, row) in rows_chunk.chunks_mut(n).enumerate() {
-                    let i = first_row + r;
-                    let s = self.data[i * n + j] - simd::dot(&row[..j], pivot);
-                    row[j] = s / diag;
-                }
-            });
         }
         Ok(l)
     }
