@@ -167,7 +167,7 @@ pub fn run_chaos_campaign(
         base_cfg,
         cluster_cfg,
         max_rounds,
-        &Obs::metrics_only(),
+        &Obs::disabled(),
     )
 }
 

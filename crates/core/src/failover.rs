@@ -79,7 +79,7 @@ pub fn run_failover_campaign(
     cluster_cfg: &ClusterConfig,
     failover_on: bool,
 ) -> Result<FailoverReport, String> {
-    run_failover_campaign_with_obs(base_cfg, cluster_cfg, failover_on, &Obs::metrics_only())
+    run_failover_campaign_with_obs(base_cfg, cluster_cfg, failover_on, &Obs::disabled())
 }
 
 /// [`run_failover_campaign`] with a telemetry handle; the

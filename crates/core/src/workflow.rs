@@ -37,8 +37,6 @@ pub fn osg_cluster_config() -> ClusterConfig {
             max_sim_time_s: 21 * 24 * 3600,
         },
         cache_enabled: true,
-        // OSG does not cap evictions for FDW jobs; retries are free.
-        max_evictions_per_job: 0,
         faults: Default::default(),
         defense: Default::default(),
         federation: Default::default(),
@@ -243,7 +241,7 @@ pub fn replicate_fdw(
         cluster_cfg,
         seeds,
         "rep",
-        &Obs::metrics_only(),
+        &Obs::disabled(),
     )
 }
 

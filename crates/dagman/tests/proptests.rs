@@ -42,7 +42,6 @@ fn fast_cluster(seed: u64) -> Cluster {
                 ..Default::default()
             },
             cache_enabled: true,
-            max_evictions_per_job: 0,
             faults: Default::default(),
             defense: Default::default(),
             federation: Default::default(),

@@ -4,8 +4,7 @@
 //!
 //! Lifecycle of one job: `Idle → (negotiation match) → TransferringInput →
 //! Running → TransferringOutput → Completed`. When the glidein underneath
-//! disappears the job is evicted straight back to `Idle`, or to
-//! `Removed` once it runs out of eviction credits. Every forward step
+//! disappears the job is evicted straight back to `Idle`. Every forward step
 //! goes through `Cluster::advance` and every end of an attempt through
 //! `Cluster::vacate`; both bump the job's serial, and a job event acts
 //! only while the job still has the serial it was scheduled under.
@@ -62,9 +61,6 @@ pub struct ClusterConfig {
     pub pool: PoolConfig,
     /// Whether the Stash cache is active (ablation switch).
     pub cache_enabled: bool,
-    /// Remove a job from the queue after this many evictions (HTCondor's
-    /// `periodic_remove` guard against crash-looping nodes). 0 = never.
-    pub max_evictions_per_job: u32,
     /// Injected fault mix (all-zero by default: a well-behaved pool).
     pub faults: FaultConfig,
     /// Self-healing defense switches (both off by default).
@@ -97,8 +93,6 @@ struct JobRuntime {
     /// [`Cluster::advance`]); each job event carries the serial it was
     /// scheduled under and is dropped unless the job still has it.
     serial: u64,
-    /// Evictions suffered so far (drives `max_evictions_per_job`).
-    evictions: u32,
     /// Submission attempt index of this job's name under this owner
     /// (0 for the first submission, 1 for the first DAGMan retry, …) —
     /// the salt that lets transient faults differ across retries.
@@ -508,7 +502,6 @@ impl Cluster {
                 state: JobState::Idle,
                 machine: None,
                 serial: 0,
-                evictions: 0,
                 attempt,
                 pending_exit: None,
                 corrupt_detected: false,
@@ -950,9 +943,8 @@ impl Cluster {
     }
 
     /// Spot reclamation kills a running cloud-pool attempt. It consumes
-    /// neither an eviction credit nor a DAGMan retry: the fault domain is
-    /// the pool, not the job. Save a checkpoint (when enabled) and
-    /// requeue for migration.
+    /// no DAGMan retry: the fault domain is the pool, not the job. Save a
+    /// checkpoint (when enabled) and requeue for migration.
     fn preempt_job(&mut self, job: JobId) {
         self.checkpoint_job(job);
         let j = &self.jobs[&job];
@@ -1051,8 +1043,7 @@ impl Cluster {
 
     /// Displace every in-flight job on `pool`'s machines when its outage
     /// window opens: running jobs checkpoint first (when enabled) and all
-    /// victims return to Idle without consuming an eviction credit — the
-    /// fault domain is the pool, not the job.
+    /// victims return to Idle — the fault domain is the pool, not the job.
     fn displace_pool_jobs(&mut self, pool: u32) {
         let f = self.federation.as_ref().expect("outages are federated");
         let victims = self.in_flight(|m| f.pool_of(m) == Some(pool));
@@ -1070,27 +1061,16 @@ impl Cluster {
         }
     }
 
-    /// Evict every in-flight job of a departed machine; a job out of
-    /// eviction credits is removed, the rest re-queue.
+    /// Evict every in-flight job of a departed machine back to the queue.
     fn evict_machine_jobs(&mut self, mid: MachineId) {
-        let limit = self.config.max_evictions_per_job;
         for id in self.in_flight(|m| m == mid) {
-            let j = self.jobs.get_mut(&id).expect("victim exists");
-            j.evictions += 1;
-            let exhausted = limit > 0 && j.evictions >= limit;
-            let owner = j.owner;
+            let owner = self.jobs[&id].owner;
             self.tally.evictions += 1;
             self.obs
                 .instant("pool", "eviction", id.0, self.now.as_secs());
-            if exhausted {
-                self.vacate(id, JobState::Removed);
-                self.emit(id, owner, JobEventKind::Evicted);
-                self.emit(id, owner, JobEventKind::Removed);
-            } else {
-                self.vacate(id, JobState::Idle);
-                self.requeue(id, false);
-                self.emit(id, owner, JobEventKind::Evicted);
-            }
+            self.vacate(id, JobState::Idle);
+            self.requeue(id, false);
+            self.emit(id, owner, JobEventKind::Evicted);
         }
     }
 
@@ -2233,7 +2213,7 @@ mod tests {
             report.federation.migrations > 0,
             "displaced jobs re-match in another pool"
         );
-        // Preemptions consume no eviction credit and surface as 026 events.
+        // Preemptions are not glidein evictions and surface as 026 events.
         let preempted = report
             .log
             .events()

@@ -258,7 +258,6 @@ proptest! {
                 ..Default::default()
             },
             cache_enabled: true,
-            max_evictions_per_job: 0,
             faults: Default::default(),
             defense: Default::default(),
             federation: Default::default(),

@@ -20,7 +20,6 @@ fn test_cluster() -> ClusterConfig {
             ..Default::default()
         },
         cache_enabled: true,
-        max_evictions_per_job: 0,
         faults: Default::default(),
         defense: Default::default(),
         federation: Default::default(),
