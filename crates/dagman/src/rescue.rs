@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use htcsim::cluster::WorkloadDriver;
 
 use crate::dag::Dag;
-use crate::driver::{Dagman, NodeState};
+use crate::driver::Dagman;
 
 /// Serialise a rescue file: one `DONE <node>` line per completed node,
 /// plus a `# FAILED <node> exit=<code|none> attempts=<n>` comment per
@@ -124,23 +124,11 @@ pub fn resume(
     Ok(dm)
 }
 
-impl Dagman {
-    /// Mark a node complete without running it (rescue-DAG resume).
-    /// Panics if the node is not currently Waiting/Ready.
-    pub fn force_done(&mut self, id: crate::dag::NodeId) {
-        let st = self.node_state(id);
-        assert!(
-            matches!(st, NodeState::Waiting | NodeState::Ready),
-            "force_done on node in state {st:?}"
-        );
-        self.force_done_inner(id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::NodeId;
+    use crate::driver::NodeState;
     use htcsim::job::{JobSpec, OwnerId};
 
     fn chain() -> Dag {
