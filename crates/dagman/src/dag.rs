@@ -43,7 +43,8 @@ pub struct Node {
     /// (`ABORT-DAG-ON`).
     pub abort_dag_on: Option<i32>,
     /// Submission priority (higher submits first among ready nodes),
-    /// mirroring DAGMan's `PRIORITY` keyword.
+    /// mirroring DAGMan's `PRIORITY` keyword. Among nodes of equal
+    /// priority the most recently readied submits first.
     pub priority: i32,
     /// Parent node ids.
     pub parents: Vec<NodeId>,
