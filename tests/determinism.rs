@@ -733,3 +733,80 @@ fn fnv1a_f64_zero_step_matches_the_byte_fold() {
         fnv1a_f64(DIGEST_INIT, &[-0.0])
     );
 }
+
+/// Every key group off its default: region, station count, STF, job
+/// faults and pool faults, both defenses, speculation, federation with
+/// checkpoints, a defended service front-end and DES shards.
+fn all_groups_config() -> FdwConfig {
+    use fdw_suite::fakequakes::stf::StfKind;
+    use fdw_suite::fdw_core::config::Region;
+    use fdw_suite::fdw_service::config::ServiceConfig;
+    use fdw_suite::htcsim::fault::{FaultConfig, PoolFaultConfig};
+    use fdw_suite::htcsim::federation::FederationConfig;
+    use fdw_suite::htcsim::scoreboard::DefenseConfig;
+    FdwConfig {
+        region: Region::Cascadia,
+        fault_nx: 24,
+        fault_nd: 12,
+        station_input: StationInput::Count(60),
+        n_waveforms: 2_000,
+        ruptures_per_job: 8,
+        waveforms_per_job: 4,
+        mw_range: (7.8, 8.6),
+        stf: StfKind::Triangle,
+        recycle_npy: true,
+        max_idle: 250,
+        max_jobs: 40,
+        seed: 42,
+        retries: 5,
+        retry_defer_s: 90,
+        job_timeout_s: 7_200,
+        fault: FaultConfig {
+            seed: 7,
+            transient_exit_prob: 0.1,
+            permanent_job_fraction: 0.02,
+            black_hole_fraction: 0.05,
+            transfer_fail_prob: 0.03,
+            hold_prob: 0.04,
+            corrupt_prob: 0.01,
+            hold_release_s: 450.5,
+            pool: PoolFaultConfig {
+                outage_pool: 1,
+                outage_start_s: 600.0,
+                outage_duration_s: 1_800.0,
+                partition_pool: 2,
+                partition_start_s: 120.25,
+                partition_duration_s: 900.0,
+                preempt_prob: 0.35,
+            },
+        },
+        defense: DefenseConfig {
+            scoreboard_enabled: true,
+            checksum_enabled: true,
+        },
+        speculation: true,
+        federation: FederationConfig {
+            enabled: true,
+            failover_enabled: true,
+            burst_idle_threshold: 12,
+            checkpoint_enabled: true,
+            checkpoint_interval_s: 90.0,
+            cloud_spinup_s: 240.0,
+        },
+        service: ServiceConfig::defended(4),
+        des_shards: 8,
+    }
+}
+
+#[test]
+fn parameter_file_bytes_are_pinned() {
+    use fdw_suite::fdw_obs::digest::{fnv1a, DIGEST_INIT};
+    for (cfg, want) in [
+        (FdwConfig::default(), 0x1fbc_59b2_e53b_ea9f_u64),
+        (all_groups_config(), 0x86fd_8bc6_3bbc_eb24),
+    ] {
+        let text = cfg.to_config_file();
+        assert_eq!(fnv1a(DIGEST_INIT, text.as_bytes()), want, "{text}");
+        assert_eq!(FdwConfig::parse(&text).unwrap(), cfg);
+    }
+}
