@@ -68,6 +68,15 @@ impl StationInput {
             StationInput::Count(n) => n.to_string(),
         }
     }
+
+    /// Parse a configuration label: `full`, `small` or a station count.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "full" => Some(StationInput::Chilean(ChileanInput::Full)),
+            "small" => Some(StationInput::Chilean(ChileanInput::Small)),
+            n => n.parse().ok().map(StationInput::Count),
+        }
+    }
 }
 
 /// The FDW parameter file.
@@ -195,322 +204,119 @@ impl FdwConfig {
     pub fn total_jobs(&self) -> u64 {
         self.n_rupture_jobs() + self.n_waveform_jobs() + 1 + if self.recycle_npy { 0 } else { 1 }
     }
+}
 
-    /// Serialise as the FDW parameter file.
-    pub fn to_config_file(&self) -> String {
-        format!(
-            "# FakeQuakes DAGMan Workflow configuration\n\
-             region = {}\n\
-             fault_nx = {}\n\
-             fault_nd = {}\n\
-             station_input = {}\n\
-             n_waveforms = {}\n\
-             ruptures_per_job = {}\n\
-             waveforms_per_job = {}\n\
-             mw_min = {}\n\
-             mw_max = {}\n\
-             stf = {}\n\
-             recycle_npy = {}\n\
-             max_idle = {}\n\
-             max_jobs = {}\n\
-             seed = {}\n\
-             retries = {}\n\
-             retry_defer_s = {}\n\
-             job_timeout_s = {}\n\
-             fault_seed = {}\n\
-             fault_transient = {}\n\
-             fault_permanent = {}\n\
-             fault_black_hole = {}\n\
-             fault_transfer = {}\n\
-             fault_hold = {}\n\
-             fault_hold_release_s = {}\n\
-             fault_corrupt = {}\n\
-             defense_scoreboard = {}\n\
-             defense_checksum = {}\n\
-             speculation = {}\n\
-             federation_enabled = {}\n\
-             federation_failover = {}\n\
-             federation_burst_idle = {}\n\
-             federation_spinup_s = {}\n\
-             checkpoint_enabled = {}\n\
-             checkpoint_interval_s = {}\n\
-             fault_pool_outage_pool = {}\n\
-             fault_pool_outage_start_s = {}\n\
-             fault_pool_outage_s = {}\n\
-             fault_partition_pool = {}\n\
-             fault_partition_start_s = {}\n\
-             fault_partition_s = {}\n\
-             fault_preempt = {}\n\
-             service_enabled = {}\n\
-             service_max_concurrent = {}\n\
-             service_fair_share = {}\n\
-             service_degrade_depth = {}\n\
-             service_shed_backlog = {}\n\
-             service_breaker_threshold = {}\n\
-             service_breaker_probe_s = {}\n\
-             service_store = {}\n\
-             service_store_mb = {}\n\
-             service_store_verify = {}\n\
-             tenant_count = {}\n\
-             tenant_quota = {}\n\
-             tenant_queue_depth = {}\n\
-             tenant_deadline_shed = {}\n\
-             des_shards = {}\n",
-            self.region.label(),
-            self.fault_nx,
-            self.fault_nd,
-            self.station_input.label(),
-            self.n_waveforms,
-            self.ruptures_per_job,
-            self.waveforms_per_job,
-            self.mw_range.0,
-            self.mw_range.1,
-            self.stf.label(),
-            self.recycle_npy,
-            self.max_idle,
-            self.max_jobs,
-            self.seed,
-            self.retries,
-            self.retry_defer_s,
-            self.job_timeout_s,
-            self.fault.seed,
-            self.fault.transient_exit_prob,
-            self.fault.permanent_job_fraction,
-            self.fault.black_hole_fraction,
-            self.fault.transfer_fail_prob,
-            self.fault.hold_prob,
-            self.fault.hold_release_s,
-            self.fault.corrupt_prob,
-            self.defense.scoreboard_enabled,
-            self.defense.checksum_enabled,
-            self.speculation,
-            self.federation.enabled,
-            self.federation.failover_enabled,
-            self.federation.burst_idle_threshold,
-            self.federation.cloud_spinup_s,
-            self.federation.checkpoint_enabled,
-            self.federation.checkpoint_interval_s,
-            self.fault.pool.outage_pool,
-            self.fault.pool.outage_start_s,
-            self.fault.pool.outage_duration_s,
-            self.fault.pool.partition_pool,
-            self.fault.pool.partition_start_s,
-            self.fault.pool.partition_duration_s,
-            self.fault.pool.preempt_prob,
-            self.service.enabled,
-            self.service.max_concurrent,
-            self.service.fair_share,
-            self.service.degrade_depth,
-            self.service.shed_backlog,
-            self.service.breaker_threshold,
-            self.service.breaker_probe_s,
-            self.service.store_enabled,
-            self.service.store_budget_mb,
-            self.service.store_verify,
-            self.service.tenants,
-            self.service.tenant_quota,
-            self.service.tenant_queue_depth,
-            self.service.tenant_deadline_shed,
-            self.des_shards,
-        )
-    }
-
-    /// Parse the parameter-file format; unknown keys are an error (typos
-    /// in simulation configs must not pass silently).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut cfg = FdwConfig::default();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
+/// The parameter file's keys in file order, one row per key: the key,
+/// the `FdwConfig` field it binds and, for a value that is not the
+/// field's own `Display`/`FromStr` text, `via T` to convert it through
+/// `T::label` and `T::parse`. The rows expand into
+/// [`FdwConfig::to_config_file`] and [`FdwConfig::parse`], so a knob is
+/// added or renamed by editing its row, and fdwlint's `dead-config-knob`
+/// reads the same rows.
+macro_rules! config_keys {
+    (@label $v:expr) => { $v };
+    (@label $v:expr, $conv:ident) => { $conv::label($v) };
+    (@read $s:expr) => { $s.parse().ok() };
+    (@read $s:expr, $conv:ident) => { $conv::parse($s) };
+    ($($key:literal => $($field:tt).+ $(via $conv:ident)?,)+) => {
+        impl FdwConfig {
+            /// Serialise as the FDW parameter file.
+            pub fn to_config_file(&self) -> String {
+                format!(
+                    concat!(
+                        "# FakeQuakes DAGMan Workflow configuration\n",
+                        $($key, " = {}\n",)+
+                    ),
+                    $(config_keys!(@label self.$($field).+ $(, $conv)?),)+
+                )
             }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |what: &str| format!("line {}: invalid {what} '{value}'", lineno + 1);
-            match key {
-                "region" => {
-                    cfg.region = Region::parse(value).ok_or_else(|| bad("region"))?;
-                }
-                "fault_nx" => cfg.fault_nx = value.parse().map_err(|_| bad("fault_nx"))?,
-                "fault_nd" => cfg.fault_nd = value.parse().map_err(|_| bad("fault_nd"))?,
-                "station_input" => {
-                    cfg.station_input = match value {
-                        "full" => StationInput::Chilean(ChileanInput::Full),
-                        "small" => StationInput::Chilean(ChileanInput::Small),
-                        n => StationInput::Count(n.parse().map_err(|_| bad("station_input"))?),
+
+            /// Parse the parameter-file format; unknown keys are an error
+            /// (typos in simulation configs must not pass silently).
+            pub fn parse(text: &str) -> Result<Self, String> {
+                let mut cfg = FdwConfig::default();
+                for (lineno, line) in text.lines().enumerate() {
+                    let line = line.split('#').next().unwrap_or("").trim();
+                    if line.is_empty() {
+                        continue;
+                    }
+                    let (key, value) = line
+                        .split_once('=')
+                        .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
+                    let (key, value) = (key.trim(), value.trim());
+                    let bad = |what: &str| format!("line {}: invalid {what} '{value}'", lineno + 1);
+                    match key {
+                        $($key => {
+                            cfg.$($field).+ =
+                                config_keys!(@read value $(, $conv)?).ok_or_else(|| bad($key))?
+                        })+
+                        other => return Err(format!("line {}: unknown key '{other}'", lineno + 1)),
                     }
                 }
-                "n_waveforms" => cfg.n_waveforms = value.parse().map_err(|_| bad("n_waveforms"))?,
-                "ruptures_per_job" => {
-                    cfg.ruptures_per_job = value.parse().map_err(|_| bad("ruptures_per_job"))?
-                }
-                "waveforms_per_job" => {
-                    cfg.waveforms_per_job = value.parse().map_err(|_| bad("waveforms_per_job"))?
-                }
-                "mw_min" => cfg.mw_range.0 = value.parse().map_err(|_| bad("mw_min"))?,
-                "mw_max" => cfg.mw_range.1 = value.parse().map_err(|_| bad("mw_max"))?,
-                "stf" => {
-                    cfg.stf = StfKind::parse(value).ok_or_else(|| bad("stf"))?;
-                }
-                "recycle_npy" => cfg.recycle_npy = value.parse().map_err(|_| bad("recycle_npy"))?,
-                "max_idle" => cfg.max_idle = value.parse().map_err(|_| bad("max_idle"))?,
-                "max_jobs" => cfg.max_jobs = value.parse().map_err(|_| bad("max_jobs"))?,
-                "seed" => cfg.seed = value.parse().map_err(|_| bad("seed"))?,
-                "retries" => cfg.retries = value.parse().map_err(|_| bad("retries"))?,
-                "retry_defer_s" => {
-                    cfg.retry_defer_s = value.parse().map_err(|_| bad("retry_defer_s"))?
-                }
-                "job_timeout_s" => {
-                    cfg.job_timeout_s = value.parse().map_err(|_| bad("job_timeout_s"))?
-                }
-                "fault_seed" => cfg.fault.seed = value.parse().map_err(|_| bad("fault_seed"))?,
-                "fault_transient" => {
-                    cfg.fault.transient_exit_prob =
-                        value.parse().map_err(|_| bad("fault_transient"))?
-                }
-                "fault_permanent" => {
-                    cfg.fault.permanent_job_fraction =
-                        value.parse().map_err(|_| bad("fault_permanent"))?
-                }
-                "fault_black_hole" => {
-                    cfg.fault.black_hole_fraction =
-                        value.parse().map_err(|_| bad("fault_black_hole"))?
-                }
-                "fault_transfer" => {
-                    cfg.fault.transfer_fail_prob =
-                        value.parse().map_err(|_| bad("fault_transfer"))?
-                }
-                "fault_hold" => {
-                    cfg.fault.hold_prob = value.parse().map_err(|_| bad("fault_hold"))?
-                }
-                "fault_hold_release_s" => {
-                    cfg.fault.hold_release_s =
-                        value.parse().map_err(|_| bad("fault_hold_release_s"))?
-                }
-                "fault_corrupt" => {
-                    cfg.fault.corrupt_prob = value.parse().map_err(|_| bad("fault_corrupt"))?
-                }
-                "defense_scoreboard" => {
-                    cfg.defense.scoreboard_enabled =
-                        value.parse().map_err(|_| bad("defense_scoreboard"))?
-                }
-                "defense_checksum" => {
-                    cfg.defense.checksum_enabled =
-                        value.parse().map_err(|_| bad("defense_checksum"))?
-                }
-                "speculation" => cfg.speculation = value.parse().map_err(|_| bad("speculation"))?,
-                "federation_enabled" => {
-                    cfg.federation.enabled = value.parse().map_err(|_| bad("federation_enabled"))?
-                }
-                "federation_failover" => {
-                    cfg.federation.failover_enabled =
-                        value.parse().map_err(|_| bad("federation_failover"))?
-                }
-                "federation_burst_idle" => {
-                    cfg.federation.burst_idle_threshold =
-                        value.parse().map_err(|_| bad("federation_burst_idle"))?
-                }
-                "federation_spinup_s" => {
-                    cfg.federation.cloud_spinup_s =
-                        value.parse().map_err(|_| bad("federation_spinup_s"))?
-                }
-                "checkpoint_enabled" => {
-                    cfg.federation.checkpoint_enabled =
-                        value.parse().map_err(|_| bad("checkpoint_enabled"))?
-                }
-                "checkpoint_interval_s" => {
-                    cfg.federation.checkpoint_interval_s =
-                        value.parse().map_err(|_| bad("checkpoint_interval_s"))?
-                }
-                "fault_pool_outage_pool" => {
-                    cfg.fault.pool.outage_pool =
-                        value.parse().map_err(|_| bad("fault_pool_outage_pool"))?
-                }
-                "fault_pool_outage_start_s" => {
-                    cfg.fault.pool.outage_start_s = value
-                        .parse()
-                        .map_err(|_| bad("fault_pool_outage_start_s"))?
-                }
-                "fault_pool_outage_s" => {
-                    cfg.fault.pool.outage_duration_s =
-                        value.parse().map_err(|_| bad("fault_pool_outage_s"))?
-                }
-                "fault_partition_pool" => {
-                    cfg.fault.pool.partition_pool =
-                        value.parse().map_err(|_| bad("fault_partition_pool"))?
-                }
-                "fault_partition_start_s" => {
-                    cfg.fault.pool.partition_start_s =
-                        value.parse().map_err(|_| bad("fault_partition_start_s"))?
-                }
-                "fault_partition_s" => {
-                    cfg.fault.pool.partition_duration_s =
-                        value.parse().map_err(|_| bad("fault_partition_s"))?
-                }
-                "fault_preempt" => {
-                    cfg.fault.pool.preempt_prob = value.parse().map_err(|_| bad("fault_preempt"))?
-                }
-                "service_enabled" => {
-                    cfg.service.enabled = value.parse().map_err(|_| bad("service_enabled"))?
-                }
-                "service_max_concurrent" => {
-                    cfg.service.max_concurrent =
-                        value.parse().map_err(|_| bad("service_max_concurrent"))?
-                }
-                "service_fair_share" => {
-                    cfg.service.fair_share = value.parse().map_err(|_| bad("service_fair_share"))?
-                }
-                "service_degrade_depth" => {
-                    cfg.service.degrade_depth =
-                        value.parse().map_err(|_| bad("service_degrade_depth"))?
-                }
-                "service_shed_backlog" => {
-                    cfg.service.shed_backlog =
-                        value.parse().map_err(|_| bad("service_shed_backlog"))?
-                }
-                "service_breaker_threshold" => {
-                    cfg.service.breaker_threshold = value
-                        .parse()
-                        .map_err(|_| bad("service_breaker_threshold"))?
-                }
-                "service_breaker_probe_s" => {
-                    cfg.service.breaker_probe_s =
-                        value.parse().map_err(|_| bad("service_breaker_probe_s"))?
-                }
-                "service_store" => {
-                    cfg.service.store_enabled = value.parse().map_err(|_| bad("service_store"))?
-                }
-                "service_store_mb" => {
-                    cfg.service.store_budget_mb =
-                        value.parse().map_err(|_| bad("service_store_mb"))?
-                }
-                "service_store_verify" => {
-                    cfg.service.store_verify =
-                        value.parse().map_err(|_| bad("service_store_verify"))?
-                }
-                "tenant_count" => {
-                    cfg.service.tenants = value.parse().map_err(|_| bad("tenant_count"))?
-                }
-                "tenant_quota" => {
-                    cfg.service.tenant_quota = value.parse().map_err(|_| bad("tenant_quota"))?
-                }
-                "tenant_queue_depth" => {
-                    cfg.service.tenant_queue_depth =
-                        value.parse().map_err(|_| bad("tenant_queue_depth"))?
-                }
-                "tenant_deadline_shed" => {
-                    cfg.service.tenant_deadline_shed =
-                        value.parse().map_err(|_| bad("tenant_deadline_shed"))?
-                }
-                "des_shards" => cfg.des_shards = value.parse().map_err(|_| bad("des_shards"))?,
-                other => return Err(format!("line {}: unknown key '{other}'", lineno + 1)),
+                cfg.validate()?;
+                Ok(cfg)
             }
         }
-        cfg.validate()?;
-        Ok(cfg)
-    }
+    };
+}
+
+config_keys! {
+    "region" => region via Region,
+    "fault_nx" => fault_nx,
+    "fault_nd" => fault_nd,
+    "station_input" => station_input via StationInput,
+    "n_waveforms" => n_waveforms,
+    "ruptures_per_job" => ruptures_per_job,
+    "waveforms_per_job" => waveforms_per_job,
+    "mw_min" => mw_range.0,
+    "mw_max" => mw_range.1,
+    "stf" => stf via StfKind,
+    "recycle_npy" => recycle_npy,
+    "max_idle" => max_idle,
+    "max_jobs" => max_jobs,
+    "seed" => seed,
+    "retries" => retries,
+    "retry_defer_s" => retry_defer_s,
+    "job_timeout_s" => job_timeout_s,
+    "fault_seed" => fault.seed,
+    "fault_transient" => fault.transient_exit_prob,
+    "fault_permanent" => fault.permanent_job_fraction,
+    "fault_black_hole" => fault.black_hole_fraction,
+    "fault_transfer" => fault.transfer_fail_prob,
+    "fault_hold" => fault.hold_prob,
+    "fault_hold_release_s" => fault.hold_release_s,
+    "fault_corrupt" => fault.corrupt_prob,
+    "defense_scoreboard" => defense.scoreboard_enabled,
+    "defense_checksum" => defense.checksum_enabled,
+    "speculation" => speculation,
+    "federation_enabled" => federation.enabled,
+    "federation_failover" => federation.failover_enabled,
+    "federation_burst_idle" => federation.burst_idle_threshold,
+    "federation_spinup_s" => federation.cloud_spinup_s,
+    "checkpoint_enabled" => federation.checkpoint_enabled,
+    "checkpoint_interval_s" => federation.checkpoint_interval_s,
+    "fault_pool_outage_pool" => fault.pool.outage_pool,
+    "fault_pool_outage_start_s" => fault.pool.outage_start_s,
+    "fault_pool_outage_s" => fault.pool.outage_duration_s,
+    "fault_partition_pool" => fault.pool.partition_pool,
+    "fault_partition_start_s" => fault.pool.partition_start_s,
+    "fault_partition_s" => fault.pool.partition_duration_s,
+    "fault_preempt" => fault.pool.preempt_prob,
+    "service_enabled" => service.enabled,
+    "service_max_concurrent" => service.max_concurrent,
+    "service_fair_share" => service.fair_share,
+    "service_degrade_depth" => service.degrade_depth,
+    "service_shed_backlog" => service.shed_backlog,
+    "service_breaker_threshold" => service.breaker_threshold,
+    "service_breaker_probe_s" => service.breaker_probe_s,
+    "service_store" => service.store_enabled,
+    "service_store_mb" => service.store_budget_mb,
+    "service_store_verify" => service.store_verify,
+    "tenant_count" => service.tenants,
+    "tenant_quota" => service.tenant_quota,
+    "tenant_queue_depth" => service.tenant_queue_depth,
+    "tenant_deadline_shed" => service.tenant_deadline_shed,
+    "des_shards" => des_shards,
 }
 
 #[cfg(test)]

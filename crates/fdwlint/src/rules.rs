@@ -80,10 +80,11 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "dead-config-knob",
-        description: "a key parsed into FdwConfig (crates/core/src/config.rs) whose field is \
-                      never read outside config.rs: a knob that validates but steers nothing \
-                      silently lies to every experiment config that sets it",
-        example: "\"recycle_npy\" => cfg.recycle_npy = value.parse()..., // never read again",
+        description: "a row of the parameter-file key table (config_keys! in \
+                      crates/core/src/config.rs) whose FdwConfig field is never read outside \
+                      config.rs: a knob that validates but steers nothing silently lies to \
+                      every experiment config that sets it",
+        example: "\"recycle_npy\" => recycle_npy, // a config_keys! row whose field nothing reads",
     },
     RuleInfo {
         name: "ulog-code-registry",

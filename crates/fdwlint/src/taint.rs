@@ -13,8 +13,8 @@
 //!   reported with both call chains. `fdwlint::allow` at any hop on
 //!   either chain downgrades the flow to a recorded [`AllowedFlow`],
 //!   listed in the report with its written reason.
-//! * `dead-config-knob` — knobs parsed into `FdwConfig` whose field no
-//!   code outside `config.rs` ever reads.
+//! * `dead-config-knob` — rows of the parameter file's key table whose
+//!   `FdwConfig` field no code outside `config.rs` ever reads.
 //! * `ulog-code-registry` — ULOG numeric event codes defined once, in
 //!   `htcsim::condor_log::codes`, and spelled via the registry elsewhere.
 //! * `unblessed-parallel-reachability` — parallel primitives reachable
@@ -64,6 +64,10 @@ pub struct AllowedFlow {
 
 /// The FdwConfig parser — scope of `dead-config-knob`.
 const CONFIG_FILE: &str = "crates/core/src/config.rs";
+
+/// The invocation in `CONFIG_FILE` whose rows bind each parameter-file
+/// key to its `FdwConfig` field.
+const KEY_TABLE: &str = "config_keys!";
 
 /// The ULOG code registry's home — scope of `ulog-code-registry`.
 const REGISTRY_FILE: &str = "crates/htcsim/src/condor_log.rs";
@@ -465,47 +469,42 @@ fn nondet_flow_to_sink(
     }
 }
 
-/// Extract `"<key>" => cfg.<field> = ...` knob bindings from the config
-/// parser and check each bound field is read somewhere outside the
-/// config module.
+/// Read the `"<key>" => <field path>` rows of the parameter file's key
+/// table and check each bound field is read somewhere outside the config
+/// module.
 fn dead_config_knob(graph: &Graph, allows: &[Allows], findings: &mut Vec<Finding>) {
     const RULE: &str = "dead-config-knob";
     let Some(ci) = graph.files.iter().position(|f| f.rel_path == CONFIG_FILE) else {
         return;
     };
     let m = &graph.files[ci].masked;
+    let Some(table) = (0..m.code.len()).find(|&idx| {
+        !m.in_test[idx]
+            && m.code[idx]
+                .trim_start()
+                .strip_prefix(KEY_TABLE)
+                .is_some_and(|rest| rest.trim_start().starts_with('{'))
+    }) else {
+        return;
+    };
 
     let valid_key =
         |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
     let mut knobs: Vec<(String, String, usize)> = Vec::new(); // (key, field, line)
-    let mut current_key: Option<String> = None;
-    for (idx, code) in m.code.iter().enumerate() {
-        if m.in_test[idx] {
-            continue;
+    for (idx, code) in m.code.iter().enumerate().skip(table + 1) {
+        if code.trim_start().starts_with('}') {
+            break;
         }
-        if code.contains("=>") {
-            current_key = m
-                .strings
-                .get(idx)
-                .and_then(|v| v.first())
-                .filter(|s| valid_key(s))
-                .cloned();
-        }
-        // `cfg.<path> = <expr>` (not `==`): a knob assignment.
-        let Some(pos) = code.find("cfg.") else {
+        let (Some(key), Some((_, bound))) = (m.strings[idx].first(), code.split_once("=>")) else {
             continue;
         };
-        let after = &code[pos + 4..];
-        let field: String = after
+        let field: String = bound
+            .trim_start()
             .chars()
             .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '.')
             .collect();
-        let rest = after[field.len()..].trim_start();
-        let is_assign = rest.starts_with('=') && !rest.starts_with("==");
-        if is_assign && !field.is_empty() {
-            if let Some(key) = &current_key {
-                knobs.push((key.clone(), field.clone(), idx + 1));
-            }
+        if valid_key(key) && !field.is_empty() {
+            knobs.push((key.clone(), field, idx + 1));
         }
     }
 
@@ -565,7 +564,7 @@ fn dead_config_knob(graph: &Graph, allows: &[Allows], findings: &mut Vec<Finding
             continue;
         }
         let chain = vec![format!(
-            "knob '{key}' assigns cfg.{field}; no read of `.{rn}` outside {CONFIG_FILE}"
+            "knob '{key}' binds {field}; no read of `.{rn}` outside {CONFIG_FILE}"
         )];
         findings.push(finding_at(graph, RULE, ci, *line, chain));
     }
@@ -863,17 +862,17 @@ mod tests {
 
     #[test]
     fn dead_config_knob_fires_and_read_silences() {
-        let config = "impl FdwConfig {\n\
-                      \x20   pub fn parse(text: &str) -> Result<Self, String> {\n\
-                      \x20       let mut cfg = FdwConfig::default();\n\
-                      \x20       match key {\n\
-                      \x20           \"live_knob\" => cfg.live_knob = value.parse().map_err(|_| bad(\"live_knob\"))?,\n\
-                      \x20           \"ghost_knob\" => cfg.ghost_knob = value.parse().map_err(|_| bad(\"ghost_knob\"))?,\n\
-                      \x20       }\n\
-                      \x20       Ok(cfg)\n\
-                      \x20   }\n\
+        let config = "config_keys! {\n\
+                      \x20   \"region\" => region via Region,\n\
+                      \x20   \"mw_min\" => mw_range.0,\n\
+                      \x20   \"fault_seed\" => fault.seed,\n\
+                      \x20   \"live_knob\" => live_knob,\n\
+                      \x20   \"ghost_knob\" => ghost_knob,\n\
                       }\n";
-        let reader = "pub fn run(cfg: &FdwConfig) -> u32 { cfg.live_knob }\n";
+        let reader = "pub fn run(cfg: &FdwConfig) -> u32 {\n\
+                      \x20   steer(cfg.region, cfg.mw_range.0, cfg.fault.seed);\n\
+                      \x20   cfg.live_knob\n\
+                      }\n";
         let (findings, _) = run(
             &[
                 src("fdw-core", "crates/core/src/config.rs", config),

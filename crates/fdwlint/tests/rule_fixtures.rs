@@ -157,28 +157,16 @@ fn per_rule_fixtures() -> Vec<(&'static str, SourceFile, SourceFile)> {
             src(
                 "fdw-core",
                 "crates/core/src/config.rs",
-                "impl FdwConfig {\n\
-                 \x20   pub fn parse(text: &str) -> Result<Self, String> {\n\
-                 \x20       let mut cfg = FdwConfig::default();\n\
-                 \x20       match key {\n\
-                 \x20           \"ghost_knob\" => cfg.ghost_knob = value.parse().map_err(|_| bad(\"ghost_knob\"))?,\n\
-                 \x20       }\n\
-                 \x20       Ok(cfg)\n\
-                 \x20   }\n\
+                "config_keys! {\n\
+                 \x20   \"ghost_knob\" => ghost_knob,\n\
                  }\n",
             ),
             src(
                 "fdw-core",
                 "crates/core/src/config.rs",
-                "impl FdwConfig {\n\
-                 \x20   pub fn parse(text: &str) -> Result<Self, String> {\n\
-                 \x20       let mut cfg = FdwConfig::default();\n\
-                 \x20       match key {\n\
-                 \x20           // fdwlint::allow(dead-config-knob): staged rollout; the reader lands with the next engine PR\n\
-                 \x20           \"ghost_knob\" => cfg.ghost_knob = value.parse().map_err(|_| bad(\"ghost_knob\"))?,\n\
-                 \x20       }\n\
-                 \x20       Ok(cfg)\n\
-                 \x20   }\n\
+                "config_keys! {\n\
+                 \x20   // fdwlint::allow(dead-config-knob): staged rollout; the reader lands with the next engine PR\n\
+                 \x20   \"ghost_knob\" => ghost_knob,\n\
                  }\n",
             ),
         ),

@@ -7,6 +7,7 @@ use std::path::PathBuf;
 
 use fdwlint::{
     collect_workspace_sources, report, scan_workspace, AnalysisOptions, Baseline, Ratchet,
+    SourceFile,
 };
 
 fn workspace_root() -> PathBuf {
@@ -108,4 +109,42 @@ fn json_report_of_the_workspace_validates() {
     );
     assert!(doc.contains("\"tool\": \"fdwlint\""));
     assert!(doc.contains("\"status\": \"clean\""));
+}
+
+#[test]
+fn dead_config_knob_binds_every_key_of_the_real_table() {
+    // Scanned alone, the parameter-file module has no reader outside it,
+    // so every row the rule binds fires once. All 56 must: a change to
+    // the row shape that the rule no longer parses fails here instead of
+    // silently disarming it.
+    let rel_path = "crates/core/src/config.rs";
+    let text = std::fs::read_to_string(workspace_root().join(rel_path)).unwrap();
+    let sources = [SourceFile {
+        crate_name: "fdw-core".into(),
+        rel_path: rel_path.into(),
+        text,
+    }];
+    let outcome = scan_workspace(&sources, &AnalysisOptions::default());
+    let keys: Vec<&str> = outcome
+        .findings
+        .iter()
+        .filter(|f| f.rule == "dead-config-knob")
+        .filter_map(|f| f.chain[0].strip_prefix("knob '")?.split('\'').next())
+        .collect();
+    assert_eq!(keys.len(), 56, "{keys:?}");
+    let mut distinct = keys.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 56, "duplicate rows: {keys:?}");
+    assert_eq!(keys.first(), Some(&"region"));
+    assert_eq!(keys.last(), Some(&"des_shards"));
+    for key in [
+        "station_input",
+        "mw_min",
+        "mw_max",
+        "stf",
+        "fault_pool_outage_s",
+    ] {
+        assert!(keys.contains(&key), "{key} not bound: {keys:?}");
+    }
 }
