@@ -244,7 +244,7 @@ pub fn run_chaos_campaign_with_obs(
         obs.inc("chaos.rounds", 1);
         let makespan_s = report.makespan.as_secs();
         round_obs.span("chaos", format_args!("round:{rounds}"), 0, 0, makespan_s);
-        crate::workflow::record_phase_spans(&round_obs, &report, std::slice::from_ref(&dm));
+        crate::workflow::record_phase_spans(&round_obs, &report);
         if report.timed_out {
             return Err(format!(
                 "campaign {}@{intensity} hit the simulation time cap",

@@ -160,7 +160,7 @@ pub fn run_concurrent_fdw_with_obs(
         ));
     }
     let stats = per_dagman_stats(&report);
-    record_phase_spans(obs, &report, multi.dagmans());
+    record_phase_spans(obs, &report);
     let metrics_docs = multi
         .dagmans()
         .iter()
@@ -183,21 +183,14 @@ pub fn run_concurrent_fdw_with_obs(
 /// from that phase's first user-log event to its last. Phase names are
 /// the node-name prefixes (`matrix`, `rupture`, `gf`, `waveform`), so the
 /// exported trace shows the A→B→C pipeline shape per DAGMan. Shared with
-/// the chaos harness, which passes a single resumed DAGMan per round.
-pub(crate) fn record_phase_spans(
-    obs: &Obs,
-    report: &RunReport,
-    dagmans: &[dagman::driver::Dagman],
-) {
+/// the chaos harness, which calls it once per round.
+pub(crate) fn record_phase_spans(obs: &Obs, report: &RunReport) {
     if !obs.is_enabled() {
         return;
     }
     let mut windows: BTreeMap<(u32, String), (u64, u64)> = BTreeMap::new();
     for ev in report.log.events() {
-        let Some(dm) = dagmans.iter().find(|d| d.owner() == ev.owner) else {
-            continue;
-        };
-        let Some(name) = dm.node_name(ev.job) else {
+        let Some(name) = report.job_names.get(&ev.job) else {
             continue;
         };
         let phase = name.split('.').next().unwrap_or(name);

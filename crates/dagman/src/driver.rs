@@ -100,8 +100,8 @@ struct NodeRecord {
     speculated: bool,
 }
 
-/// One submitted job.
-#[derive(Debug)]
+/// One submitted job, from its id assignment to its terminal event.
+#[derive(Debug, Clone, Copy)]
 struct JobRecord {
     node: NodeId,
     /// When the job's current execution started, while it runs.
@@ -116,7 +116,9 @@ pub struct Dagman {
     dag: Dag,
     owner: OwnerId,
     nodes: Vec<NodeRecord>,
-    /// Every job this DAGMan submitted, kept after it ends.
+    /// The jobs this DAGMan submitted that have not ended yet: a record
+    /// is dropped at its job's terminal event (completion, failure or
+    /// removal), so the map holds at most the jobs in flight.
     jobs: HashMap<JobId, JobRecord>,
     /// Nodes in each [`NodeState`], indexed by the state's discriminant.
     counts: [usize; STATES],
@@ -325,15 +327,6 @@ impl Dagman {
         self.spec_wasted_s.stats().sum
     }
 
-    /// Name of the node a cluster job id was submitted under, if this
-    /// DAGMan submitted it (telemetry uses this to group user-log events
-    /// by workflow phase).
-    pub fn node_name(&self, job: JobId) -> Option<&str> {
-        self.jobs
-            .get(&job)
-            .map(|j| self.dag.node(j.node).name.as_str())
-    }
-
     /// Names of completed nodes (for rescue DAG generation).
     pub fn done_nodes(&self) -> Vec<&str> {
         self.nodes
@@ -470,24 +463,34 @@ impl Dagman {
         }
     }
 
-    /// End the record of `job`'s current execution, returning its start.
-    fn stop_execution(&mut self, job: JobId) -> Option<SimTime> {
-        self.jobs.get_mut(&job)?.exec_start.take()
-    }
-
     fn process(&mut self, events: &[JobEvent]) {
         for ev in events {
             if ev.owner != self.owner {
                 continue;
             }
-            let Some(&JobRecord {
-                node, cancelled, ..
-            }) = self.jobs.get(&ev.job)
+            // A terminal event ends the job, so its record goes here and
+            // the handlers below get what they need of it.
+            let terminal = matches!(
+                ev.kind,
+                JobEventKind::Completed | JobEventKind::Failed | JobEventKind::Removed
+            );
+            let record = if terminal {
+                self.jobs.remove(&ev.job)
+            } else {
+                self.jobs.get(&ev.job).copied()
+            };
+            let Some(JobRecord {
+                node,
+                exec_start,
+                cancelled,
+            }) = record
             else {
                 continue;
             };
             if cancelled {
-                self.settle_cancelled(ev, node);
+                if terminal {
+                    self.settle_cancelled(ev, node, exec_start);
+                }
                 continue;
             }
             let rec = &self.nodes[node.0];
@@ -510,7 +513,9 @@ impl Dagman {
                     // held job once released), so the node is idle again
                     // for throttle purposes. Pool-level displacements
                     // consume no DAGMan retry.
-                    self.stop_execution(ev.job);
+                    if let Some(job) = self.jobs.get_mut(&ev.job) {
+                        job.exec_start = None;
+                    }
                     if ev.kind == JobEventKind::Held {
                         self.holds += 1;
                     }
@@ -523,9 +528,8 @@ impl Dagman {
                     // release tally moves.
                     self.releases += 1;
                 }
-                JobEventKind::Completed => self.complete(ev, node),
+                JobEventKind::Completed => self.complete(ev, node, exec_start),
                 JobEventKind::Failed | JobEventKind::Removed => {
-                    self.stop_execution(ev.job);
                     let rec = &mut self.nodes[node.0];
                     if rec.duplicate == Some(ev.job) {
                         // The duplicate died on its own; the original
@@ -571,13 +575,13 @@ impl Dagman {
 
     /// First finisher wins a speculated node: settle the node, record the
     /// phase sample, and condor_rm the losing copy.
-    fn complete(&mut self, ev: &JobEvent, node: NodeId) {
+    fn complete(&mut self, ev: &JobEvent, node: NodeId, exec_start: Option<SimTime>) {
         if self.nodes[node.0].state == NodeState::Done {
             // The slower copy finished before its condor_rm landed; the
             // winner already settled the node.
             return;
         }
-        if let Some(start) = self.stop_execution(ev.job) {
+        if let Some(start) = exec_start {
             let phase = phase_of(&self.dag.node(node).name).to_string();
             self.phase_durations
                 .entry(phase)
@@ -611,17 +615,8 @@ impl Dagman {
 
     /// Terminal event of a job this DAGMan removed itself: account the
     /// wasted execution and drop the tracking state. Not a node outcome.
-    fn settle_cancelled(&mut self, ev: &JobEvent, node: NodeId) {
-        if !matches!(
-            ev.kind,
-            JobEventKind::Removed | JobEventKind::Failed | JobEventKind::Completed
-        ) {
-            return;
-        }
-        if let Some(job) = self.jobs.get_mut(&ev.job) {
-            job.cancelled = false;
-        }
-        if let Some(start) = self.stop_execution(ev.job) {
+    fn settle_cancelled(&mut self, ev: &JobEvent, node: NodeId, exec_start: Option<SimTime>) {
+        if let Some(start) = exec_start {
             self.spec_wasted_s.observe(ev.time.since(start) as f64);
         }
         let rec = &mut self.nodes[node.0];
