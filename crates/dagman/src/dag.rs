@@ -262,12 +262,11 @@ impl Dag {
         let mut aborts: Vec<(String, i32)> = Vec::new();
         let mut priorities: Vec<(String, i32)> = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
+            let line = line.split('#').next().unwrap_or("");
             let mut toks = line.split_whitespace();
-            let keyword = toks.next().unwrap().to_ascii_uppercase();
+            let Some(keyword) = toks.next().map(str::to_ascii_uppercase) else {
+                continue; // blank or comment-only
+            };
             match keyword.as_str() {
                 "JOB" => {
                     let name = toks

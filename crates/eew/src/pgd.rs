@@ -104,10 +104,12 @@ impl PgdScalingModel {
     }
 
     /// Invert the scaling for one station: the Mw that explains an
-    /// observed PGD at distance R. Returns None when the denominator
+    /// observed PGD at distance R. Returns None for a PGD or distance
+    /// that is not finite and positive, and when the denominator
     /// degenerates (station at a distance where B + C·log10 R ≈ 0).
     pub fn estimate_mw_single(&self, pgd_m: f64, distance_km: f64) -> Option<f64> {
-        if pgd_m <= 0.0 || distance_km <= 0.0 {
+        let usable = |x: f64| x.is_finite() && x > 0.0;
+        if !usable(pgd_m) || !usable(distance_km) {
             return None;
         }
         let denom = self.b + self.c * distance_km.log10();
@@ -128,7 +130,7 @@ impl PgdScalingModel {
         if estimates.is_empty() {
             return None;
         }
-        estimates.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        estimates.sort_by(f64::total_cmp);
         Some(estimates[estimates.len() / 2])
     }
 }
@@ -233,6 +235,27 @@ mod tests {
             }; 3]
         )
         .is_err());
+    }
+
+    #[test]
+    fn non_finite_observations_give_no_estimate() {
+        let m = PgdScalingModel::MELGAR_2015;
+        // A NaN station among finite ones drops out of the median instead
+        // of panicking the sort.
+        let finite = m.estimate_mw(&[(0.5, 100.0)]);
+        assert!(finite.is_some());
+        assert_eq!(
+            m.estimate_mw(&[(f64::NAN, 80.0), (0.5, 100.0), (0.3, f64::NAN)]),
+            finite
+        );
+        for (pgd, r) in [
+            (f64::NAN, 100.0),
+            (0.5, f64::NAN),
+            (f64::INFINITY, 100.0),
+            (0.5, f64::INFINITY),
+        ] {
+            assert!(m.estimate_mw_single(pgd, r).is_none(), "({pgd}, {r})");
+        }
     }
 
     #[test]

@@ -116,10 +116,8 @@ impl MseedFile {
             let n_samples = cur.u32()? as usize;
             let data = cur.take(n_samples * 8)?;
             let expected = crc32(data);
-            let mut samples = Vec::with_capacity(n_samples);
-            for chunk in data.chunks_exact(8) {
-                samples.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-            }
+            let (words, _) = data.as_chunks::<8>();
+            let samples = words.iter().map(|w| f64::from_le_bytes(*w)).collect();
             let stored = cur.u32()?;
             if stored != expected {
                 return Err(FqError::Format(format!(
@@ -169,28 +167,39 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn truncated(&self) -> FqError {
+        FqError::Format(format!("truncated FQMS file at offset {}", self.pos))
+    }
+
     fn take(&mut self, n: usize) -> FqResult<&'a [u8]> {
         if self.pos + n > self.bytes.len() {
-            return Err(FqError::Format(format!(
-                "truncated FQMS file at offset {}",
-                self.pos
-            )));
+            return Err(self.truncated());
         }
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> FqResult<[u8; N]> {
+        let bytes: &'a [u8] = self.bytes;
+        let (head, _) = bytes[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated())?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     fn u16(&mut self) -> FqResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> FqResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn f64(&mut self) -> FqResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(f64::from_le_bytes)
     }
 }
 

@@ -75,10 +75,8 @@ pub fn from_npy_bytes(bytes: &[u8]) -> FqResult<Matrix> {
             data.len()
         )));
     }
-    let mut values = Vec::with_capacity(need / 8);
-    for chunk in data[..need].chunks_exact(8) {
-        values.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-    }
+    let (words, _) = data[..need].as_chunks::<8>();
+    let values = words.iter().map(|w| f64::from_le_bytes(*w)).collect();
     Matrix::from_vec(rows, cols, values)
 }
 

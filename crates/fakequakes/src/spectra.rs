@@ -101,8 +101,15 @@ pub struct SpectralSummary {
 }
 
 /// Compute the spectral summary of a waveform's east component (the
-/// horizontal with the largest interface-thrust signal).
+/// horizontal with the largest interface-thrust signal). A non-finite
+/// sample is a format error: it would leave no spectrum to summarise.
 pub fn spectral_summary(w: &GnssWaveform) -> FqResult<SpectralSummary> {
+    if let Some(i) = w.east_m.iter().position(|x| !x.is_finite()) {
+        return Err(FqError::Format(format!(
+            "east component sample {i} is {}",
+            w.east_m[i]
+        )));
+    }
     let (freqs, amps) = amplitude_spectrum(&w.east_m, w.dt_s)?;
     // Skip DC: static offsets dominate bin 0 by construction.
     let total_energy: f64 = amps.iter().skip(1).map(|a| a * a).sum();
@@ -131,7 +138,7 @@ pub fn spectral_summary(w: &GnssWaveform) -> FqResult<SpectralSummary> {
         .iter()
         .enumerate()
         .skip(1)
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .unwrap_or(0);
     Ok(SpectralSummary {
@@ -201,6 +208,24 @@ mod tests {
     fn spectrum_errors() {
         assert!(amplitude_spectrum(&[], 1.0).is_err());
         assert!(amplitude_spectrum(&[1.0], 0.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_sample_is_a_format_error() {
+        let mut w = GnssWaveform {
+            station_code: "NAN1".into(),
+            scenario_id: 0,
+            dt_s: 1.0,
+            east_m: (0..64).map(|i| (i as f64 * 0.3).sin()).collect(),
+            north_m: vec![0.0; 64],
+            up_m: vec![0.0; 64],
+        };
+        assert!(spectral_summary(&w).is_ok());
+        w.east_m[5] = f64::NAN;
+        match spectral_summary(&w) {
+            Err(FqError::Format(msg)) => assert!(msg.contains("sample 5"), "{msg}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     #[test]

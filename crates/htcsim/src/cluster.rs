@@ -310,7 +310,9 @@ impl Cluster {
             // Batch events that share this timestamp before polling the
             // driver, so it sees a consistent snapshot.
             while self.queue.peek_time() == Some(self.now) {
-                let (_, ev) = self.queue.pop().unwrap();
+                let Some((_, ev)) = self.queue.pop() else {
+                    break;
+                };
                 self.handle(ev);
             }
             self.drive(driver);

@@ -52,7 +52,7 @@ impl SingleMachine {
             let (idx, _) = slots
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .min_by(|a, b| a.1.total_cmp(b.1))
                 .expect("at least one slot");
             let dur = spec.exec.sample(&mut rng) / self.speed;
             slots[idx] += dur;
