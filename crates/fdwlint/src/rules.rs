@@ -139,6 +139,24 @@ pub const LANE_SUM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/simd.rs"];
 /// key, carries an inline allow with its reason.
 const FNV_ALLOWLIST: &[&str] = &["crates/obs/src/digest.rs"];
 
+/// Wall-clock spellings — shared between the per-file
+/// `wall-clock-in-sim` rule and the taint pass's sources.
+pub(crate) const WALL_CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime::now"];
+
+/// Unseeded-RNG spellings — shared between the per-file
+/// `unseeded-randomness` rule and the taint pass's sources.
+pub(crate) const UNSEEDED_RNG_PATTERNS: &[&str] = &[
+    "thread_rng",
+    "rand::random",
+    "from_entropy",
+    "OsRng",
+    "getrandom",
+];
+
+/// The non-canonical float fold — shared between the per-file
+/// `naive-float-accum` rule and the taint pass's sources.
+pub(crate) const NAIVE_FLOAT_SUM: &str = ".sum::<f64>()";
+
 /// Raw parallel-primitive spellings — shared between the per-file
 /// `raw-parallelism` rule and the graph-level
 /// `unblessed-parallel-reachability` rule.
@@ -336,23 +354,12 @@ pub fn scan_file(file: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
         let line = idx + 1;
 
         // wall-clock-in-sim
-        if file.crate_name != "fdw-bench"
-            && (code.contains("Instant::now") || code.contains("SystemTime::now"))
-        {
+        if file.crate_name != "fdw-bench" && WALL_CLOCK_PATTERNS.iter().any(|p| code.contains(p)) {
             push("wall-clock-in-sim", line);
         }
 
         // unseeded-randomness
-        if [
-            "thread_rng",
-            "rand::random",
-            "from_entropy",
-            "OsRng",
-            "getrandom",
-        ]
-        .iter()
-        .any(|p| code.contains(p))
-        {
+        if UNSEEDED_RNG_PATTERNS.iter().any(|p| code.contains(p)) {
             push("unseeded-randomness", line);
         }
 
@@ -391,7 +398,7 @@ pub fn scan_file(file: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
             && !LANE_SUM_ALLOWLIST.contains(&file.rel_path.as_str())
             && !file.rel_path.contains("/src/bin/")
         {
-            let hits = count_occurrences(code, ".sum::<f64>()");
+            let hits = count_occurrences(code, NAIVE_FLOAT_SUM);
             for _ in 0..hits {
                 push("naive-float-accum", line);
             }

@@ -25,7 +25,8 @@ use std::collections::BTreeMap;
 
 use crate::graph::{FileInfo, Graph};
 use crate::rules::{
-    self, Allows, Finding, LANE_SUM_ALLOWLIST, PARALLELISM_ALLOWLIST, PAR_PATTERNS,
+    self, Allows, Finding, LANE_SUM_ALLOWLIST, NAIVE_FLOAT_SUM, PARALLELISM_ALLOWLIST,
+    PAR_PATTERNS, UNSEEDED_RNG_PATTERNS, WALL_CLOCK_PATTERNS,
 };
 use crate::syntax;
 
@@ -253,20 +254,12 @@ fn find_sources(file: &FileInfo, allows: &Allows) -> Vec<(usize, &'static str)> 
         }
         let line = idx + 1;
         if file.crate_name != "fdw-bench"
-            && (code.contains("Instant::now") || code.contains("SystemTime::now"))
+            && WALL_CLOCK_PATTERNS.iter().any(|p| code.contains(p))
             && !allows.allowed("wall-clock-in-sim", line)
         {
             out.push((line, "wall clock (Instant::now/SystemTime::now)"));
         }
-        if [
-            "thread_rng",
-            "rand::random",
-            "from_entropy",
-            "OsRng",
-            "getrandom",
-        ]
-        .iter()
-        .any(|p| code.contains(p))
+        if UNSEEDED_RNG_PATTERNS.iter().any(|p| code.contains(p))
             && !allows.allowed("unseeded-randomness", line)
         {
             out.push((line, "unseeded RNG"));
@@ -279,7 +272,7 @@ fn find_sources(file: &FileInfo, allows: &Allows) -> Vec<(usize, &'static str)> 
         }
         if file.crate_name == "fakequakes"
             && !LANE_SUM_ALLOWLIST.contains(&file.rel_path.as_str())
-            && code.contains(".sum::<f64>()")
+            && code.contains(NAIVE_FLOAT_SUM)
             && !allows.allowed("naive-float-accum", line)
         {
             out.push((line, "non-canonical float fold (.sum::<f64>())"));
