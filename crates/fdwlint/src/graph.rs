@@ -393,16 +393,6 @@ impl Graph {
         best
     }
 
-    /// Nodes defined in the file at `rel_path`.
-    pub fn fns_in_file(&self, rel_path: &str) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| self.files[n.file].rel_path == rel_path)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// `file:line (qualified::name)` label for chain rendering.
     pub fn label(&self, node: usize) -> String {
         let n = &self.fns[node];

@@ -119,11 +119,6 @@ fn parse_time(s: &str) -> Result<SimTime, String> {
     Ok(SimTime((day - 1) * 86_400 + h * 3600 + m * 60 + sec))
 }
 
-/// Whether an event kind appears in a real HTCondor log.
-pub fn is_loggable(kind: JobEventKind) -> bool {
-    !matches!(kind, JobEventKind::Matched)
-}
-
 fn code_and_text(ev: &JobEvent) -> Option<(&'static str, String)> {
     match ev.kind {
         JobEventKind::Submitted => {
@@ -437,7 +432,7 @@ mod tests {
         let expect: Vec<&JobEvent> = original
             .events()
             .iter()
-            .filter(|e| is_loggable(e.kind))
+            .filter(|e| e.kind != JobEventKind::Matched)
             .collect();
         assert_eq!(parsed.len(), expect.len());
         for (a, b) in parsed.events().iter().zip(expect) {

@@ -173,11 +173,6 @@ impl EventQueue {
         }
     }
 
-    /// Number of physical shards backing the queue.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, lane: LaneId) -> usize {
         lane.0 as usize % self.shards.len()
     }
@@ -351,6 +346,5 @@ mod tests {
         assert_eq!(a.seq, 0);
         assert_eq!(b.seq, 0);
         assert_eq!(c.seq, 1);
-        assert_eq!(q.num_shards(), 3);
     }
 }

@@ -26,28 +26,6 @@ pub fn lognormal_median(rng: &mut StdRng, median: f64, sigma: f64) -> f64 {
     median * (sigma * normal(rng)).exp()
 }
 
-/// Draw a Poisson count with the given mean (Knuth's method for small
-/// means; normal approximation above 30 where Knuth's loop gets long).
-pub fn poisson(rng: &mut StdRng, mean: f64) -> u64 {
-    if mean <= 0.0 {
-        return 0;
-    }
-    if mean > 30.0 {
-        let x = mean + mean.sqrt() * normal(rng);
-        return x.round().max(0.0) as u64;
-    }
-    let l = (-mean).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,21 +72,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(lognormal_median(&mut r, 100.0, 0.0), 100.0);
         }
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large() {
-        let mut r = rng();
-        for target in [0.5, 5.0, 80.0] {
-            let n = 20_000;
-            let total: u64 = (0..n).map(|_| poisson(&mut r, target)).sum();
-            let mean = total as f64 / n as f64;
-            assert!(
-                (mean / target - 1.0).abs() < 0.06,
-                "target {target}: mean {mean}"
-            );
-        }
-        assert_eq!(poisson(&mut r, 0.0), 0);
-        assert_eq!(poisson(&mut r, -1.0), 0);
     }
 }

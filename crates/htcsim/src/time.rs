@@ -20,16 +20,6 @@ impl SimTime {
         SimTime(s)
     }
 
-    /// Construct from minutes.
-    pub fn from_mins(m: u64) -> Self {
-        SimTime(m * 60)
-    }
-
-    /// Construct from hours.
-    pub fn from_hours(h: u64) -> Self {
-        SimTime(h * 3600)
-    }
-
     /// Value in seconds.
     pub fn as_secs(self) -> u64 {
         self.0
@@ -86,8 +76,6 @@ mod tests {
 
     #[test]
     fn constructors_and_accessors() {
-        assert_eq!(SimTime::from_mins(2).as_secs(), 120);
-        assert_eq!(SimTime::from_hours(1).as_secs(), 3600);
         assert_eq!(SimTime::from_secs(90).as_mins_f64(), 1.5);
         assert_eq!(SimTime::from_secs(1800).as_hours_f64(), 0.5);
     }
