@@ -70,7 +70,7 @@ impl StationInput {
     }
 
     /// Parse a configuration label: `full`, `small` or a station count.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "full" => Some(StationInput::Chilean(ChileanInput::Full)),
             "small" => Some(StationInput::Chilean(ChileanInput::Small)),
