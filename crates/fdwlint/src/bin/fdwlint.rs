@@ -1,50 +1,37 @@
 //! The `fdwlint` CLI — scan the workspace (token rules + the call-graph
-//! pass), compare against the committed ratchet baseline, and report.
+//! pass) and report.
 //!
 //! ```text
-//! fdwlint [--root DIR] [--baseline FILE] [--json] [--taint-depth N]
-//!         [--write-baseline [--force]] [--list-rules] [--explain RULE]
+//! fdwlint [--root DIR] [--json] [--taint-depth N] [--list-rules] [--explain RULE]
 //! ```
 //!
-//! Exit status: `0` clean, `1` violations (over-budget buckets or bad
-//! allow directives), `2` usage/IO errors. `--write-baseline` (alias:
-//! `--update-baseline`) rewrites the baseline with the current counts and
-//! **refuses to raise any count** — the ratchet only turns one way; new
-//! violations must be fixed or carry an inline `fdwlint::allow` with a
-//! rationale. `--force` overrides that refusal and prints exactly which
-//! buckets were loosened and by how much.
+//! Exit status: `0` clean, `1` violations (any finding or bad allow
+//! directive), `2` usage/IO errors. Diagnostics go to stderr; stdout gets
+//! the summary line, or the JSON report under `--json`.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fdwlint::{
-    collect_workspace_sources, find_root, report, rules, AnalysisOptions, Baseline, Ratchet,
-};
+use fdwlint::{collect_workspace_sources, find_root, report, rules, AnalysisOptions};
 
 struct Args {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
-    write_baseline: bool,
-    force: bool,
     list_rules: bool,
     explain: Option<String>,
     taint_depth: usize,
 }
 
-const USAGE: &str = "usage: fdwlint [--root DIR] [--baseline FILE] [--json] [--taint-depth N] \
-     [--write-baseline [--force]] [--list-rules] [--explain RULE]\n\
+const USAGE: &str = "usage: fdwlint [--root DIR] [--json] [--taint-depth N] \
+     [--list-rules] [--explain RULE]\n\
      exit codes: 0 clean, 1 violations, 2 usage/IO error";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        baseline: None,
         json: false,
-        write_baseline: false,
-        force: false,
         list_rules: false,
         explain: None,
         taint_depth: AnalysisOptions::default().taint_depth,
@@ -53,12 +40,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = Some(it.next().ok_or("--root needs a path")?.into()),
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a path")?.into())
-            }
             "--json" => args.json = true,
-            "--write-baseline" | "--update-baseline" => args.write_baseline = true,
-            "--force" => args.force = true,
             "--list-rules" => args.list_rules = true,
             "--explain" => args.explain = Some(it.next().ok_or("--explain needs a rule name")?),
             "--taint-depth" => {
@@ -115,9 +97,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args
-        .baseline
-        .unwrap_or_else(|| root.join("fdwlint.baseline.json"));
 
     let sources = match collect_workspace_sources(&root) {
         Ok(s) => s,
@@ -131,75 +110,13 @@ fn main() -> ExitCode {
     };
     let outcome = fdwlint::scan_workspace(&sources, &opts);
 
-    let have_baseline = baseline_path.is_file();
-    let baseline = if have_baseline {
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Baseline::parse(&t))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("fdwlint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Baseline::default()
-    };
-
-    let ratchet = Ratchet::compare(&outcome, &baseline);
-
-    if args.write_baseline {
-        // The ratchet only tightens: once a baseline exists, refuse to
-        // freeze *new* debt unless --force. Bootstrap (no committed
-        // baseline yet) initialises the budget from the current counts.
-        // Directive errors block unconditionally — they are syntax
-        // errors, not debt.
-        if !outcome.directive_errors.is_empty() {
-            eprint!("{}", report::human(&outcome, &ratchet));
-            eprintln!("fdwlint: refusing to write a baseline with malformed allow directives");
-            return ExitCode::FAILURE;
-        }
-        let loosened: Vec<(String, u64, u64)> = ratchet
-            .over_budget
-            .iter()
-            .map(|(bucket, frozen, now, _)| (bucket.clone(), *frozen, *now))
-            .collect();
-        if have_baseline && !loosened.is_empty() && !args.force {
-            eprint!("{}", report::human(&outcome, &ratchet));
-            eprintln!(
-                "fdwlint: refusing to loosen the ratchet — fix the findings, add \
-                 `fdwlint::allow(<rule>): <reason>` directives, or pass --force"
-            );
-            return ExitCode::FAILURE;
-        }
-        let tightened = ratchet.tightened();
-        if let Err(e) = std::fs::write(&baseline_path, tightened.to_json()) {
-            eprintln!("fdwlint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        if !loosened.is_empty() {
-            println!("fdwlint: --force loosened the ratchet:");
-            for (bucket, frozen, now) in &loosened {
-                println!("  {bucket}: {frozen} -> {now}");
-            }
-        }
-        println!(
-            "fdwlint: baseline written to {} ({} bucket(s), {} violation(s) frozen)",
-            baseline_path.display(),
-            tightened.counts.len(),
-            tightened.counts.values().sum::<u64>()
-        );
-        return ExitCode::SUCCESS;
-    }
-
+    eprint!("{}", report::human(&outcome));
     if args.json {
-        print!("{}", report::json(&outcome, &ratchet, &baseline));
+        print!("{}", report::json(&outcome));
     } else {
-        eprint!("{}", report::human(&outcome, &ratchet));
-        println!("{}", report::summary(&outcome, &ratchet));
+        println!("{}", report::summary(&outcome));
     }
-    if ratchet.is_clean(&outcome) {
+    if outcome.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::lexer::{mask, Masked};
-use crate::rules::SourceFile;
+use crate::rules::{parse_allows, Allows, SourceFile};
 use crate::syntax::{self, Call};
 
 /// Path roots that mark a call as outside the workspace.
@@ -32,8 +32,8 @@ const COMMON_METHOD_NAMES: &[&str] = &[
     "update", "finish", "close", "open", "load", "store", "parse", "name", "id",
 ];
 
-/// One source file of the graph, with its masked channels retained for
-/// the downstream taint pass.
+/// One source file of a scan, lexed once: the token rules, the graph
+/// builder and the graph rules all read these channels and directives.
 #[derive(Debug)]
 pub struct FileInfo {
     /// Package name owning the file.
@@ -42,8 +42,26 @@ pub struct FileInfo {
     pub rel_path: String,
     /// Masked lexer channels.
     pub masked: Masked,
-    /// Under a `tests/`/`benches/`/`examples/` tree — no defs taken.
+    /// Under a `tests/`/`benches/`/`examples/` tree: path-scoped rules
+    /// skip it and the graph takes no defs from it.
     pub is_test_path: bool,
+    /// The file's allow directives; their errors are the scan's
+    /// directive errors.
+    pub(crate) allows: Allows,
+}
+
+impl FileInfo {
+    /// Mask `f` and parse its allow directives.
+    pub(crate) fn new(f: &SourceFile) -> Self {
+        let masked = mask(&f.text);
+        Self {
+            crate_name: f.crate_name.clone(),
+            rel_path: f.rel_path.clone(),
+            is_test_path: is_test_path(&f.rel_path),
+            allows: parse_allows(&f.rel_path, &masked.comments),
+            masked,
+        }
+    }
 }
 
 /// One function definition node.
@@ -62,8 +80,6 @@ pub struct FnNode {
     pub start_line: usize,
     /// 1-based line of the closing brace.
     pub end_line: usize,
-    /// Declared with a visibility qualifier.
-    pub is_pub: bool,
     /// Raw call expressions in the body (pre-resolution).
     pub calls: Vec<Call>,
 }
@@ -132,8 +148,6 @@ pub struct Graph {
     pub fns: Vec<FnNode>,
     /// Forward edges per node (deduped per callee, first call line kept).
     pub edges: Vec<Vec<Edge>>,
-    /// Reverse adjacency: for each node, its callers.
-    pub reverse: Vec<Vec<usize>>,
     /// Resolution counters.
     pub stats: GraphStats,
 }
@@ -161,8 +175,8 @@ fn module_path(rel_path: &str) -> Vec<String> {
     segs
 }
 
-/// Same test-tree predicate the per-file rules use.
-pub fn is_test_path(rel_path: &str) -> bool {
+/// Is `rel_path` under a `tests/`, `benches/` or `examples/` tree?
+fn is_test_path(rel_path: &str) -> bool {
     ["tests/", "benches/", "examples/"]
         .iter()
         .any(|d| rel_path.starts_with(d) || rel_path.contains(&format!("/{d}")))
@@ -170,42 +184,33 @@ pub fn is_test_path(rel_path: &str) -> bool {
 
 /// Build the call graph over `files`.
 pub fn build(files: &[SourceFile]) -> Graph {
-    let mut infos = Vec::with_capacity(files.len());
+    let infos: Vec<FileInfo> = files.iter().map(FileInfo::new).collect();
     let mut fns: Vec<FnNode> = Vec::new();
 
-    for (fi, f) in files.iter().enumerate() {
-        let masked = mask(&f.text);
-        let test_path = is_test_path(&f.rel_path);
-        if !test_path {
-            let parsed = syntax::parse(&masked);
-            let crate_ident = f.crate_name.replace('-', "_");
-            let file_mods = module_path(&f.rel_path);
-            for d in parsed.fns {
-                let mut qualified = vec![crate_ident.clone()];
-                qualified.extend(file_mods.iter().cloned());
-                qualified.extend(d.mods.iter().cloned());
-                if let Some(ty) = &d.self_type {
-                    qualified.push(ty.clone());
-                }
-                qualified.push(d.name.clone());
-                fns.push(FnNode {
-                    file: fi,
-                    name: d.name,
-                    self_type: d.self_type,
-                    qualified,
-                    start_line: d.start_line,
-                    end_line: d.end_line,
-                    is_pub: d.is_pub,
-                    calls: d.calls,
-                });
-            }
+    for (fi, f) in infos.iter().enumerate() {
+        if f.is_test_path {
+            continue;
         }
-        infos.push(FileInfo {
-            crate_name: f.crate_name.clone(),
-            rel_path: f.rel_path.clone(),
-            masked,
-            is_test_path: test_path,
-        });
+        let crate_ident = f.crate_name.replace('-', "_");
+        let file_mods = module_path(&f.rel_path);
+        for d in syntax::parse(&f.masked).fns {
+            let mut qualified = vec![crate_ident.clone()];
+            qualified.extend(file_mods.iter().cloned());
+            qualified.extend(d.mods.iter().cloned());
+            if let Some(ty) = &d.self_type {
+                qualified.push(ty.clone());
+            }
+            qualified.push(d.name.clone());
+            fns.push(FnNode {
+                file: fi,
+                name: d.name,
+                self_type: d.self_type,
+                qualified,
+                start_line: d.start_line,
+                end_line: d.end_line,
+                calls: d.calls,
+            });
+        }
     }
 
     // Name → candidate node indices (BTreeMap keeps everything ordered
@@ -246,18 +251,10 @@ pub fn build(files: &[SourceFile]) -> Graph {
         }
     }
 
-    let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-    for (caller, out) in edges.iter().enumerate() {
-        for e in out {
-            reverse[e.callee].push(caller);
-        }
-    }
-
     Graph {
         files: infos,
         fns,
         edges,
-        reverse,
         stats,
     }
 }
@@ -447,8 +444,6 @@ mod tests {
             g.fns[idx(&g, "observe")].qualified,
             vec!["fdw_obs", "metrics", "MetricsRegistry", "observe"]
         );
-        // Reverse edge present.
-        assert_eq!(g.reverse[idx(&g, "observe")], vec![idx(&g, "timed")]);
     }
 
     #[test]

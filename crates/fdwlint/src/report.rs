@@ -3,13 +3,15 @@
 //! exporters — escaped with `fdw_obs::json::escape`, validated by
 //! `fdw_obs::json::validate`).
 
-use crate::{Ratchet, ScanOutcome};
+use crate::ScanOutcome;
 use fdw_obs::json::escape;
 
-/// Human diagnostics: over-budget buckets with every member finding,
-/// directive errors, and improvement notes. Empty string when there is
-/// nothing to say.
-pub fn human(outcome: &ScanOutcome, ratchet: &Ratchet) -> String {
+/// Schema version of the JSON report.
+const REPORT_VERSION: u64 = 2;
+
+/// Human diagnostics: directive errors, then every finding with its
+/// call chain. Empty string when the scan is clean.
+pub fn human(outcome: &ScanOutcome) -> String {
     let mut out = String::new();
     for e in &outcome.directive_errors {
         out.push_str(&format!(
@@ -17,63 +19,48 @@ pub fn human(outcome: &ScanOutcome, ratchet: &Ratchet) -> String {
             e.rel_path, e.line, e.message
         ));
     }
-    for (bucket, frozen, now, members) in &ratchet.over_budget {
+    for f in &outcome.findings {
         out.push_str(&format!(
-            "error[{bucket}]: {now} violation(s), ratchet budget is {frozen}\n"
+            "error[{}]: {}:{}: {}\n",
+            f.rule, f.rel_path, f.line, f.excerpt
         ));
-        for f in members {
-            out.push_str(&format!(
-                "  {}:{}: [{}] {}\n",
-                f.rel_path, f.line, f.rule, f.excerpt
-            ));
-            for hop in &f.chain {
-                out.push_str(&format!("    {hop}\n"));
-            }
+        for hop in &f.chain {
+            out.push_str(&format!("    {hop}\n"));
         }
-    }
-    for (bucket, frozen, now) in &ratchet.improved {
-        out.push_str(&format!(
-            "note[{bucket}]: improved {frozen} -> {now}; run `fdwlint --update-baseline` to ratchet down\n"
-        ));
     }
     out
 }
 
-/// One-line summary for the happy path.
-pub fn summary(outcome: &ScanOutcome, ratchet: &Ratchet) -> String {
-    let current: u64 = ratchet.counts.values().sum();
-    let mut line = format!(
-        "fdwlint: {} file(s), {} rule(s), {} frozen violation(s), {} bucket(s) over budget",
+/// One-line summary of a scan.
+pub fn summary(outcome: &ScanOutcome) -> String {
+    let g = &outcome.graph_stats;
+    format!(
+        "fdwlint: {} file(s), {} rule(s), {} finding(s), {} directive error(s), \
+         call graph {}/{} site(s) resolved ({:.1}%), {} allowed flow(s)",
         outcome.files_scanned,
         crate::rules::RULES.len(),
-        current,
-        ratchet.over_budget.len()
-    );
-    if let Some(g) = &outcome.graph_stats {
-        line.push_str(&format!(
-            ", call graph {}/{} site(s) resolved ({:.1}%), {} allowed flow(s)",
-            g.workspace_sites + g.non_workspace_sites,
-            g.total_sites,
-            g.resolution_rate() * 100.0,
-            outcome.allowed_flows.len()
-        ));
-    }
-    line
+        outcome.findings.len(),
+        outcome.directive_errors.len(),
+        g.workspace_sites + g.non_workspace_sites,
+        g.total_sites,
+        g.resolution_rate() * 100.0,
+        outcome.allowed_flows.len()
+    )
 }
 
 /// The machine-readable report. Always well-formed JSON (debug-asserted
 /// against the shared validator).
-pub fn json(outcome: &ScanOutcome, ratchet: &Ratchet, baseline: &crate::Baseline) -> String {
+pub fn json(outcome: &ScanOutcome) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"tool\": \"fdwlint\",\n");
-    out.push_str(&format!("  \"version\": {},\n", crate::baseline::VERSION));
+    out.push_str(&format!("  \"version\": {REPORT_VERSION},\n"));
     out.push_str(&format!(
         "  \"files_scanned\": {},\n",
         outcome.files_scanned
     ));
     out.push_str(&format!(
         "  \"status\": \"{}\",\n",
-        if ratchet.is_clean(outcome) {
+        if outcome.is_clean() {
             "clean"
         } else {
             "violations"
@@ -93,23 +80,6 @@ pub fn json(outcome: &ScanOutcome, ratchet: &Ratchet, baseline: &crate::Baseline
     }
     out.push_str("\n  ],\n");
 
-    let obj = |map: &std::collections::BTreeMap<String, u64>| {
-        let mut s = String::from("{");
-        for (i, (k, v)) in map.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {}", escape(k), v));
-        }
-        if !map.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push('}');
-        s
-    };
-    out.push_str(&format!("  \"counts\": {},\n", obj(&ratchet.counts)));
-    out.push_str(&format!("  \"baseline\": {},\n", obj(&baseline.counts)));
-
     out.push_str("  \"directive_errors\": [");
     for (i, e) in outcome.directive_errors.iter().enumerate() {
         if i > 0 {
@@ -124,42 +94,18 @@ pub fn json(outcome: &ScanOutcome, ratchet: &Ratchet, baseline: &crate::Baseline
     }
     out.push_str("\n  ],\n");
 
-    out.push_str("  \"over_budget\": [");
-    let mut first = true;
-    for (bucket, frozen, now, members) in &ratchet.over_budget {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"bucket\": \"{}\", \"baseline\": {frozen}, \"current\": {now}, \"findings\": [",
-            escape(bucket)
-        ));
-        for (i, f) in members.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n      {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"excerpt\": \"{}\", \"chain\": [{}]}}",
-                escape(f.rule),
-                escape(&f.rel_path),
-                f.line,
-                escape(&f.excerpt),
-                str_array(&f.chain)
-            ));
-        }
-        out.push_str("\n    ]}");
-    }
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"improved\": [");
-    for (i, (bucket, frozen, now)) in ratchet.improved.iter().enumerate() {
+    out.push_str("  \"findings\": [");
+    for (i, f) in outcome.findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"bucket\": \"{}\", \"baseline\": {frozen}, \"current\": {now}}}",
-            escape(bucket)
+            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"excerpt\": \"{}\", \"chain\": [{}]}}",
+            escape(f.rule),
+            escape(&f.rel_path),
+            f.line,
+            escape(&f.excerpt),
+            str_array(&f.chain)
         ));
     }
     out.push_str("\n  ],\n");
@@ -181,18 +127,16 @@ pub fn json(outcome: &ScanOutcome, ratchet: &Ratchet, baseline: &crate::Baseline
     }
     out.push_str("\n  ],\n");
 
-    match &outcome.graph_stats {
-        Some(g) => out.push_str(&format!(
-            "  \"graph\": {{\"total_sites\": {}, \"workspace_sites\": {}, \"non_workspace_sites\": {}, \"unresolved_sites\": {}, \"ambiguous_sites\": {}, \"resolution_rate\": {:.4}}}\n",
-            g.total_sites,
-            g.workspace_sites,
-            g.non_workspace_sites,
-            g.unresolved_sites,
-            g.ambiguous_sites,
-            g.resolution_rate()
-        )),
-        None => out.push_str("  \"graph\": null\n"),
-    }
+    let g = &outcome.graph_stats;
+    out.push_str(&format!(
+        "  \"graph\": {{\"total_sites\": {}, \"workspace_sites\": {}, \"non_workspace_sites\": {}, \"unresolved_sites\": {}, \"ambiguous_sites\": {}, \"resolution_rate\": {:.4}}}\n",
+        g.total_sites,
+        g.workspace_sites,
+        g.non_workspace_sites,
+        g.unresolved_sites,
+        g.ambiguous_sites,
+        g.resolution_rate()
+    ));
     out.push_str("}\n");
     debug_assert!(fdw_obs::json::validate(&out).is_ok());
     out
@@ -210,50 +154,35 @@ fn str_array(items: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{Finding, SourceFile};
-    use crate::{scan_sources, Baseline, Ratchet};
+    use crate::rules::SourceFile;
+    use crate::{scan_workspace, AnalysisOptions};
 
-    fn sample() -> (ScanOutcome, Ratchet, Baseline) {
+    fn sample() -> ScanOutcome {
         let files = [SourceFile {
             crate_name: "htcsim".into(),
             rel_path: "crates/htcsim/src/x.rs".into(),
             text: "fn f() { let t = std::time::Instant::now(); }\n".into(),
         }];
-        let outcome = scan_sources(&files);
-        let base = Baseline::default();
-        let ratchet = Ratchet::compare(&outcome, &base);
-        (outcome, ratchet, base)
+        scan_workspace(&files, &AnalysisOptions::default())
     }
 
     #[test]
     fn json_report_validates_and_carries_findings() {
-        let (outcome, ratchet, base) = sample();
-        let doc = json(&outcome, &ratchet, &base);
+        let doc = json(&sample());
         assert!(fdw_obs::json::validate(&doc).is_ok());
         assert!(doc.contains("\"status\": \"violations\""));
-        assert!(doc.contains("wall-clock-in-sim/htcsim"));
+        assert!(doc.contains("\"rule\": \"wall-clock-in-sim\""));
         assert!(doc.contains("\"line\": 1"));
     }
 
     #[test]
     fn human_report_is_file_line_addressable() {
-        let (outcome, ratchet, _) = sample();
-        let text = human(&outcome, &ratchet);
-        assert!(text.contains("crates/htcsim/src/x.rs:1:"), "{text}");
-        assert!(text.contains("ratchet budget is 0"), "{text}");
-        let _ = summary(&outcome, &ratchet);
-    }
-
-    #[test]
-    fn finding_bucket_format() {
-        let f = Finding {
-            rule: "unwrap-in-lib",
-            crate_name: "dagman".into(),
-            rel_path: "crates/dagman/src/dag.rs".into(),
-            line: 3,
-            excerpt: String::new(),
-            chain: Vec::new(),
-        };
-        assert_eq!(f.bucket(), "unwrap-in-lib/dagman");
+        let outcome = sample();
+        let text = human(&outcome);
+        assert!(
+            text.contains("error[wall-clock-in-sim]: crates/htcsim/src/x.rs:1:"),
+            "{text}"
+        );
+        assert!(summary(&outcome).contains("1 finding(s)"));
     }
 }

@@ -2,16 +2,16 @@
 //!
 //! Each rule encodes one invariant the suite's reproducibility guarantees
 //! depend on (DESIGN.md §5/§8/§9). Rules run over the masked code channel
-//! of [`crate::lexer::mask`], skip test regions, honour inline
+//! of a [`FileInfo`], skip test regions, honour inline
 //! `fdwlint::allow(<rule>): <reason>` / file-level
 //! `fdwlint::allow-file(<rule>): <reason>` directives, and are scoped per
 //! crate so e.g. the bench harness may read the wall clock while
 //! simulation crates may not.
 
-use crate::lexer::mask;
+use crate::graph::FileInfo;
 
 /// Rule identifiers, in report order. The first seven are per-file token
-/// rules; the last four run on the workspace call graph
+/// rules; the last three run on the workspace call graph
 /// ([`crate::graph`]/[`crate::taint`], DESIGN.md §14).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
@@ -43,8 +43,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "unwrap-in-lib",
-        description: ".unwrap()/panic! in non-test library code: each crate has a frozen budget \
-                      in the ratchet baseline that may only decrease",
+        description: ".unwrap()/panic! in non-test library code: library code returns a typed \
+                      error instead of panicking (bin targets and the bench crate are exempt)",
         example: "let spec = self.specs.get(&id).unwrap();",
     },
     RuleInfo {
@@ -94,20 +94,12 @@ pub const RULES: &[RuleInfo] = &[
                       the log dialect the paper's shell scripts grep",
         example: "out.push_str(\"005 \"); // spell it codes::TERMINATED",
     },
-    RuleInfo {
-        name: "unblessed-parallel-reachability",
-        description: "code reachable from the fakequakes::par / htcsim::des entry points that \
-                      invokes a parallel primitive outside the blessed chunk-aligned helpers: \
-                      the engines' parallel==sequential proofs only cover fan-outs that go \
-                      through par.rs or carry a written raw-parallelism justification",
-        example: "fn drain_epoch() { rayon::scope(|s| ...) } // reachable from des::run",
-    },
 ];
 
 /// Static metadata of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// The identifier used in directives, buckets and reports.
+    /// The identifier used in directives and reports.
     pub name: &'static str,
     /// One-sentence statement of the invariant.
     pub description: &'static str,
@@ -157,10 +149,8 @@ pub(crate) const UNSEEDED_RNG_PATTERNS: &[&str] = &[
 /// `naive-float-accum` rule and the taint pass's sources.
 pub(crate) const NAIVE_FLOAT_SUM: &str = ".sum::<f64>()";
 
-/// Raw parallel-primitive spellings — shared between the per-file
-/// `raw-parallelism` rule and the graph-level
-/// `unblessed-parallel-reachability` rule.
-pub(crate) const PAR_PATTERNS: &[&str] = &[
+/// Raw parallel-primitive spellings — the `raw-parallelism` rule.
+const PAR_PATTERNS: &[&str] = &[
     "thread::spawn",
     "rayon::join",
     "rayon::scope",
@@ -188,8 +178,6 @@ pub struct SourceFile {
 pub struct Finding {
     /// Rule that fired.
     pub rule: &'static str,
-    /// Package name (baseline bucket component).
-    pub crate_name: String,
     /// Workspace-relative path.
     pub rel_path: String,
     /// 1-based line number.
@@ -200,13 +188,6 @@ pub struct Finding {
     /// entry, rendered into the human and JSON reports. Empty for
     /// per-file rules.
     pub chain: Vec<String>,
-}
-
-impl Finding {
-    /// The ratchet bucket this finding counts against.
-    pub fn bucket(&self) -> String {
-        format!("{}/{}", self.rule, self.crate_name)
-    }
 }
 
 /// A malformed or unknown allow directive — reported as a hard error so
@@ -222,7 +203,7 @@ pub struct DirectiveError {
 }
 
 /// Parsed allow directives of one file.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Allows {
     /// (line, rule, reason): suppress `rule` on that line and the next.
     pub(crate) inline: Vec<(usize, String, String)>,
@@ -312,35 +293,23 @@ pub(crate) fn parse_allows(rel_path: &str, comments: &[String]) -> Allows {
     out
 }
 
-/// Scan one file against every applicable rule.
-pub fn scan_file(file: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
-    let m = mask(&file.text);
-    let allows = parse_allows(&file.rel_path, &m.comments);
+/// Scan one file against every token rule. `text` is the file's source,
+/// which the findings quote.
+pub(crate) fn scan_file(file: &FileInfo, text: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
-
-    let is_test_path = ["tests/", "benches/", "examples/"]
-        .iter()
-        .any(|d| file.rel_path.starts_with(d) || file.rel_path.contains(&format!("/{d}")));
-    if is_test_path {
-        return (findings, allows.errors);
+    if file.is_test_path {
+        return findings;
     }
-
+    let m = &file.masked;
     let mut push = |rule: &'static str, line: usize| {
-        if allows.allowed(rule, line) {
+        if file.allows.allowed(rule, line) {
             return;
         }
         findings.push(Finding {
             rule,
-            crate_name: file.crate_name.clone(),
             rel_path: file.rel_path.clone(),
             line,
-            excerpt: file
-                .text
-                .lines()
-                .nth(line - 1)
-                .unwrap_or("")
-                .trim()
-                .to_string(),
+            excerpt: text.lines().nth(line - 1).unwrap_or("").trim().to_string(),
             chain: Vec::new(),
         });
     };
@@ -404,7 +373,7 @@ pub fn scan_file(file: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
             }
         }
     }
-    (findings, allows.errors)
+    findings
 }
 
 /// Names bound to a `HashMap`/`HashSet` anywhere in the file's non-test
@@ -622,8 +591,14 @@ mod tests {
         }
     }
 
+    /// Token-rule findings and directive errors of one file.
+    fn scan(f: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
+        let info = FileInfo::new(f);
+        (scan_file(&info, &f.text), info.allows.errors)
+    }
+
     fn rules_fired(f: &SourceFile) -> Vec<&'static str> {
-        scan_file(f).0.into_iter().map(|f| f.rule).collect()
+        scan(f).0.into_iter().map(|f| f.rule).collect()
     }
 
     #[test]
@@ -689,7 +664,7 @@ mod tests {
             "crates/core/src/x.rs",
             "// fdwlint::allow(no-such-rule): whatever\n",
         );
-        let (_, errs) = scan_file(&bad_rule);
+        let (_, errs) = scan(&bad_rule);
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("unknown rule"));
 
@@ -698,7 +673,7 @@ mod tests {
             "crates/core/src/x.rs",
             "// fdwlint::allow(unwrap-in-lib)\nx.unwrap();\n",
         );
-        let (f, errs) = scan_file(&no_reason);
+        let (f, errs) = scan(&no_reason);
         assert_eq!(errs.len(), 1, "reason-less directive is an error");
         assert_eq!(f.len(), 1, "and does not suppress");
     }
@@ -763,7 +738,7 @@ mod tests {
             "}\n",
         );
         let f = file("htcsim", "crates/htcsim/src/x.rs", src);
-        assert!(rules_fired(&f).is_empty(), "{:?}", scan_file(&f).0);
+        assert!(rules_fired(&f).is_empty(), "{:?}", scan(&f).0);
     }
 
     #[test]

@@ -80,8 +80,6 @@ pub struct FnDef {
     pub start_line: usize,
     /// 1-based line of the body's closing brace.
     pub end_line: usize,
-    /// Declared `pub` (any visibility qualifier counts).
-    pub is_pub: bool,
     /// Calls made inside the body.
     pub calls: Vec<Call>,
 }
@@ -146,28 +144,10 @@ pub fn parse(masked: &Masked) -> FileSyntax {
     let mut out = FileSyntax::default();
     let mut stack: Vec<Frame> = Vec::new();
     let mut i = 0usize;
-    // Visibility flag: set by `pub`, consumed by the next item keyword,
-    // cleared at statement boundaries.
-    let mut saw_pub = false;
 
     while i < toks.len() {
         let t = &toks[i];
         match t.text.as_str() {
-            "pub" => {
-                saw_pub = true;
-                // Skip a `(crate)` / `(super)` visibility argument.
-                if toks.get(i + 1).map(|t| t.text.as_str()) == Some("(") {
-                    i = skip_balanced(&toks, i + 1, "(", ")");
-                    continue;
-                }
-                i += 1;
-                continue;
-            }
-            ";" => {
-                saw_pub = false;
-                i += 1;
-                continue;
-            }
             "mod" => {
                 if let Some(name_tok) = toks.get(i + 1).filter(|t| t.is_ident) {
                     if toks.get(i + 2).map(|t| t.text.as_str()) == Some("{") {
@@ -177,12 +157,10 @@ pub fn parse(masked: &Masked) -> FileSyntax {
                             end_line: t.line, // fixed when the frame pops
                         });
                         stack.push(Frame::Mod(out.mods.len() - 1));
-                        saw_pub = false;
                         i += 3;
                         continue;
                     }
                 }
-                saw_pub = false;
                 i += 1;
                 continue;
             }
@@ -195,12 +173,9 @@ pub fn parse(masked: &Masked) -> FileSyntax {
                     // `impl Trait for X;`-like or parse miss: skip keyword.
                     i += 1;
                 }
-                saw_pub = false;
                 continue;
             }
             "fn" => {
-                let is_pub = saw_pub;
-                saw_pub = false;
                 let Some(name_tok) = toks.get(i + 1).filter(|t| t.is_ident) else {
                     i += 1;
                     continue; // `fn(` type position (fn pointer type)
@@ -250,7 +225,6 @@ pub fn parse(masked: &Masked) -> FileSyntax {
                     mods,
                     start_line,
                     end_line: start_line, // fixed when the frame pops
-                    is_pub,
                     calls: Vec::new(),
                 });
                 stack.push(Frame::Fn(out.fns.len() - 1));
@@ -259,7 +233,6 @@ pub fn parse(masked: &Masked) -> FileSyntax {
             }
             "{" => {
                 stack.push(Frame::Block);
-                saw_pub = false;
                 i += 1;
                 continue;
             }
@@ -364,24 +337,6 @@ fn parse_type_ctx_header(toks: &[Token], i: usize) -> (String, usize) {
     (after_for.or(first).unwrap_or_default(), j)
 }
 
-/// Skip a balanced `open ... close` group starting at the `open` token.
-fn skip_balanced(toks: &[Token], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0i64;
-    let mut j = open_idx;
-    while let Some(tk) = toks.get(j) {
-        if tk.text == open {
-            depth += 1;
-        } else if tk.text == close {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    j
-}
-
 /// Innermost enclosing function frame, if any.
 fn innermost_fn(stack: &[Frame]) -> Option<usize> {
     stack.iter().rev().find_map(|f| match f {
@@ -415,12 +370,10 @@ fn helper(x: u32) -> u32 {
         assert_eq!(fx.fns.len(), 2);
         let outer = &fx.fns[0];
         assert_eq!(outer.name, "outer");
-        assert!(outer.is_pub);
         assert_eq!((outer.start_line, outer.end_line), (1, 4));
         let calls: Vec<_> = outer.calls.iter().map(|c| c.name().to_string()).collect();
         assert_eq!(calls, vec!["helper", "call"]);
         assert_eq!(outer.calls[1].path, vec!["deep", "path", "call"]);
-        assert!(!fx.fns[1].is_pub);
     }
 
     #[test]
@@ -497,7 +450,6 @@ fn top() { codes::lookup(1); }
         assert_eq!((fx.mods[0].start_line, fx.mods[0].end_line), (1, 3));
         let lookup = fx.fns.iter().find(|f| f.name == "lookup").unwrap();
         assert_eq!(lookup.mods, vec!["codes"]);
-        assert!(lookup.is_pub);
         let top = fx.fns.iter().find(|f| f.name == "top").unwrap();
         assert!(top.mods.is_empty());
         assert_eq!(top.calls[0].path, vec!["codes", "lookup"]);

@@ -17,16 +17,12 @@
 //!   `FdwConfig` field no code outside `config.rs` ever reads.
 //! * `ulog-code-registry` — ULOG numeric event codes defined once, in
 //!   `htcsim::condor_log::codes`, and spelled via the registry elsewhere.
-//! * `unblessed-parallel-reachability` — parallel primitives reachable
-//!   from the `fakequakes::par` / `htcsim::des` entry points without a
-//!   blessing (the par.rs allowlist or a written justification).
 
 use std::collections::BTreeMap;
 
 use crate::graph::{FileInfo, Graph};
 use crate::rules::{
-    self, Allows, Finding, LANE_SUM_ALLOWLIST, NAIVE_FLOAT_SUM, PARALLELISM_ALLOWLIST,
-    PAR_PATTERNS, UNSEEDED_RNG_PATTERNS, WALL_CLOCK_PATTERNS,
+    self, Finding, LANE_SUM_ALLOWLIST, NAIVE_FLOAT_SUM, UNSEEDED_RNG_PATTERNS, WALL_CLOCK_PATTERNS,
 };
 use crate::syntax;
 
@@ -76,9 +72,6 @@ const REGISTRY_FILE: &str = "crates/htcsim/src/condor_log.rs";
 /// Crates that read/write ULOG text and must spell codes via the
 /// registry.
 const ULOG_CRATES: &[&str] = &["htcsim", "dagman"];
-
-/// Files whose pub fns are the blessed parallel entry points.
-const PARALLEL_ENTRY_FILES: &[&str] = &["crates/fakequakes/src/par.rs", "crates/htcsim/src/des.rs"];
 
 /// Unreachable distance marker (room for +1 without overflow).
 const INF: usize = usize::MAX / 2;
@@ -244,8 +237,9 @@ fn sink_kind_of(graph: &Graph, node: usize) -> Option<&'static str> {
 /// `(line, label)`. A per-file allow for the matching token rule counts
 /// as a blessing here too — its rationale already covers the
 /// nondeterminism.
-fn find_sources(file: &FileInfo, allows: &Allows) -> Vec<(usize, &'static str)> {
+fn find_sources(file: &FileInfo) -> Vec<(usize, &'static str)> {
     let m = &file.masked;
+    let allows = &file.allows;
     let mut out = Vec::new();
     let hash_names = rules::collect_hash_names(&m.code, &m.in_test);
     for (idx, code) in m.code.iter().enumerate() {
@@ -283,17 +277,11 @@ fn find_sources(file: &FileInfo, allows: &Allows) -> Vec<(usize, &'static str)> 
 
 /// Run every graph rule over the workspace.
 pub fn analyze(graph: &Graph, opts: &AnalysisOptions) -> (Vec<Finding>, Vec<AllowedFlow>) {
-    let allows: Vec<Allows> = graph
-        .files
-        .iter()
-        .map(|f| rules::parse_allows(&f.rel_path, &f.masked.comments))
-        .collect();
     let mut findings = Vec::new();
     let mut allowed_flows = Vec::new();
-    nondet_flow_to_sink(graph, opts, &allows, &mut findings, &mut allowed_flows);
-    dead_config_knob(graph, &allows, &mut findings);
-    ulog_code_registry(graph, &allows, &mut findings);
-    unblessed_parallel_reachability(graph, &allows, &mut findings);
+    nondet_flow_to_sink(graph, opts, &mut findings, &mut allowed_flows);
+    dead_config_knob(graph, &mut findings);
+    ulog_code_registry(graph, &mut findings);
     (findings, allowed_flows)
 }
 
@@ -309,7 +297,6 @@ fn finding_at(
     let f = &graph.files[file];
     Finding {
         rule,
-        crate_name: f.crate_name.clone(),
         rel_path: f.rel_path.clone(),
         line,
         excerpt: f
@@ -352,7 +339,6 @@ fn walk_to_zero(graph: &Graph, from: usize, dist: &[usize]) -> Vec<usize> {
 fn nondet_flow_to_sink(
     graph: &Graph,
     opts: &AnalysisOptions,
-    allows: &[Allows],
     findings: &mut Vec<Finding>,
     allowed_flows: &mut Vec<AllowedFlow>,
 ) {
@@ -366,7 +352,7 @@ fn nondet_flow_to_sink(
         if file.is_test_path {
             continue;
         }
-        for (line, label) in find_sources(file, &allows[fi]) {
+        for (line, label) in find_sources(file) {
             if let Some(f) = graph.fn_at(fi, line) {
                 if direct[f].is_none() {
                     direct[f] = Some((line, label));
@@ -438,7 +424,7 @@ fn nondet_flow_to_sink(
         let mut reason = None;
         for &hop in src_path.iter().chain(sink_path.iter()) {
             let node = &graph.fns[hop];
-            if let Some(r) = allows[node.file].reason_in_span(
+            if let Some(r) = graph.files[node.file].allows.reason_in_span(
                 RULE,
                 node.start_line.saturating_sub(1),
                 node.end_line,
@@ -465,7 +451,7 @@ fn nondet_flow_to_sink(
 /// Read the `"<key>" => <field path>` rows of the parameter file's key
 /// table and check each bound field is read somewhere outside the config
 /// module.
-fn dead_config_knob(graph: &Graph, allows: &[Allows], findings: &mut Vec<Finding>) {
+fn dead_config_knob(graph: &Graph, findings: &mut Vec<Finding>) {
     const RULE: &str = "dead-config-knob";
     let Some(ci) = graph.files.iter().position(|f| f.rel_path == CONFIG_FILE) else {
         return;
@@ -553,7 +539,7 @@ fn dead_config_knob(graph: &Graph, allows: &[Allows], findings: &mut Vec<Finding
         if seen_read.get(rn.as_str()).copied().unwrap_or(true) {
             continue;
         }
-        if allows[ci].allowed(RULE, *line) {
+        if graph.files[ci].allows.allowed(RULE, *line) {
             continue;
         }
         let chain = vec![format!(
@@ -568,7 +554,7 @@ fn is_ulog_code(s: &str) -> bool {
     s.len() == 3 && s.chars().all(|c| c.is_ascii_digit())
 }
 
-fn ulog_code_registry(graph: &Graph, allows: &[Allows], findings: &mut Vec<Finding>) {
+fn ulog_code_registry(graph: &Graph, findings: &mut Vec<Finding>) {
     const RULE: &str = "ulog-code-registry";
     let reg_idx = graph.files.iter().position(|f| f.rel_path == REGISTRY_FILE);
     let mut reg_codes: BTreeMap<String, usize> = BTreeMap::new();
@@ -587,7 +573,7 @@ fn ulog_code_registry(graph: &Graph, allows: &[Allows], findings: &mut Vec<Findi
                         }
                         let line = idx + 1;
                         if let Some(first) = reg_codes.get(lit) {
-                            if !allows[ri].allowed(RULE, line) {
+                            if !file.allows.allowed(RULE, line) {
                                 let chain = vec![format!(
                                     "code \"{lit}\" already defined at {REGISTRY_FILE}:{first}"
                                 )];
@@ -600,7 +586,7 @@ fn ulog_code_registry(graph: &Graph, allows: &[Allows], findings: &mut Vec<Findi
                 }
             }
             None => {
-                if !allows[ri].allowed(RULE, 1) {
+                if !file.allows.allowed(RULE, 1) {
                     let chain = vec![format!("{REGISTRY_FILE} has no `mod codes` registry block")];
                     findings.push(finding_at(graph, RULE, ri, 1, chain));
                 }
@@ -631,7 +617,7 @@ fn ulog_code_registry(graph: &Graph, allows: &[Allows], findings: &mut Vec<Findi
                 if !is_ulog_code(lit) || (reg_idx.is_some() && !is_registered) {
                     continue;
                 }
-                if allows[fi].allowed(RULE, line) {
+                if file.allows.allowed(RULE, line) {
                     continue;
                 }
                 let chain = vec![format!(
@@ -639,70 +625,6 @@ fn ulog_code_registry(graph: &Graph, allows: &[Allows], findings: &mut Vec<Findi
                 )];
                 findings.push(finding_at(graph, RULE, fi, line, chain));
             }
-        }
-    }
-}
-
-fn unblessed_parallel_reachability(graph: &Graph, allows: &[Allows], findings: &mut Vec<Finding>) {
-    const RULE: &str = "unblessed-parallel-reachability";
-    // Entry points: pub fns of the blessed engine files.
-    let mut queue: Vec<usize> = Vec::new();
-    let mut parent: Vec<Option<usize>> = vec![None; graph.fns.len()];
-    let mut reached = vec![false; graph.fns.len()];
-    for (i, n) in graph.fns.iter().enumerate() {
-        if n.is_pub && PARALLEL_ENTRY_FILES.contains(&graph.files[n.file].rel_path.as_str()) {
-            reached[i] = true;
-            queue.push(i);
-        }
-    }
-    let mut qi = 0;
-    while qi < queue.len() {
-        let cur = queue[qi];
-        qi += 1;
-        for e in &graph.edges[cur] {
-            if !reached[e.callee] {
-                reached[e.callee] = true;
-                parent[e.callee] = Some(cur);
-                queue.push(e.callee);
-            }
-        }
-    }
-
-    for (fi, file) in graph.files.iter().enumerate() {
-        if file.is_test_path || PARALLELISM_ALLOWLIST.contains(&file.rel_path.as_str()) {
-            continue;
-        }
-        for (idx, code) in file.masked.code.iter().enumerate() {
-            if file.masked.in_test[idx] {
-                continue;
-            }
-            let line = idx + 1;
-            if !PAR_PATTERNS.iter().any(|p| code.contains(p)) {
-                continue;
-            }
-            // A written raw-parallelism blessing covers reachability too.
-            if allows[fi].allowed("raw-parallelism", line) || allows[fi].allowed(RULE, line) {
-                continue;
-            }
-            let Some(holder) = graph.fn_at(fi, line) else {
-                continue;
-            };
-            if !reached[holder] {
-                continue;
-            }
-            // Reconstruct entry -> ... -> holder.
-            let mut path = vec![holder];
-            let mut cur = holder;
-            while let Some(p) = parent[cur] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            let chain = vec![format!(
-                "reachable from entry: {}",
-                render_path(graph, &path)
-            )];
-            findings.push(finding_at(graph, RULE, fi, line, chain));
         }
     }
 }
@@ -914,46 +836,5 @@ mod tests {
         assert!(findings
             .iter()
             .all(|f| f.rule != "ulog-code-registry" || !f.chain[0].contains("100")));
-    }
-
-    #[test]
-    fn unblessed_parallel_reachability_follows_the_graph() {
-        let des = "pub fn run_epochs() { drain(); }\nfn drain() { helper_split(); }\n";
-        let helper = "pub fn helper_split() {\n    rayon::join(|| 1, || 2);\n}\n";
-        let (findings, _) = run(
-            &[
-                src("htcsim", "crates/htcsim/src/des.rs", des),
-                src("htcsim", "crates/htcsim/src/split.rs", helper),
-            ],
-            4,
-        );
-        let hits: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.rule == "unblessed-parallel-reachability")
-            .collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-        assert_eq!(hits[0].rel_path, "crates/htcsim/src/split.rs");
-        let chain = &hits[0].chain[0];
-        assert!(chain.contains("run_epochs"), "{chain}");
-        assert!(chain.contains("helper_split"), "{chain}");
-
-        // The same site with a raw-parallelism blessing is clean.
-        let blessed = "pub fn helper_split() {\n\
-                       \x20   // fdwlint::allow(raw-parallelism): chunk-aligned, proven bitwise\n\
-                       \x20   rayon::join(|| 1, || 2);\n\
-                       }\n";
-        let (findings, _) = run(
-            &[
-                src("htcsim", "crates/htcsim/src/des.rs", des),
-                src("htcsim", "crates/htcsim/src/split.rs", blessed),
-            ],
-            4,
-        );
-        assert!(
-            findings
-                .iter()
-                .all(|f| f.rule != "unblessed-parallel-reachability"),
-            "{findings:?}"
-        );
     }
 }

@@ -138,8 +138,7 @@ fn allow_on_intermediate_hop_downgrades_to_allowed_flow() {
 #[test]
 fn fixtures_resolve_their_own_call_graphs() {
     for name in ["taint_depth", "allow_hop"] {
-        let out = scan_at(name, 4);
-        let g = out.graph_stats.expect("graph pass ran");
+        let g = scan_at(name, 4).graph_stats;
         assert!(
             g.resolution_rate() >= 0.95,
             "{name}: resolution rate {:.3}",

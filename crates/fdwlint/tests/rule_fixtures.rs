@@ -1,10 +1,10 @@
 //! Per-rule fixture tests through the public API: every rule has a
 //! passing and a violating snippet, rule text quoted in strings, comments
-//! or `#[cfg(test)]` regions never fires, and the allow/ratchet machinery
-//! behaves end to end the way `scripts/ci.sh` depends on.
+//! or `#[cfg(test)]` regions never fires, and the allow machinery and the
+//! single verdict behave end to end the way `scripts/ci.sh` depends on.
 
 use fdw_obs::digest::{DIGEST_INIT, FNV_PRIME};
-use fdwlint::{scan_sources, scan_workspace, AnalysisOptions, Baseline, Ratchet, SourceFile};
+use fdwlint::{scan_workspace, AnalysisOptions, SourceFile};
 
 fn src(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
     SourceFile {
@@ -191,26 +191,6 @@ fn per_rule_fixtures() -> Vec<(&'static str, SourceFile, SourceFile)> {
                  pub fn writer(code: &str) -> String { format!(\"{code} ...\") }\n",
             ),
         ),
-        (
-            "unblessed-parallel-reachability",
-            src(
-                "htcsim",
-                "crates/htcsim/src/des.rs",
-                "pub fn run_epochs() { drain(); }\n\
-                 fn drain() {\n\
-                 \x20   rayon::join(|| 1, || 2);\n\
-                 }\n",
-            ),
-            src(
-                "htcsim",
-                "crates/htcsim/src/des.rs",
-                "pub fn run_epochs() { drain(); }\n\
-                 fn drain() {\n\
-                 \x20   // fdwlint::allow(raw-parallelism): epoch halves are disjoint index ranges; merge order is fixed\n\
-                 \x20   rayon::join(|| 1, || 2);\n\
-                 }\n",
-            ),
-        ),
     ]
 }
 
@@ -307,7 +287,7 @@ fn rule_text_in_strings_comments_and_test_regions_never_fires() {
         "    }\n",
         "}\n",
     );
-    let out = scan_sources(&[src("htcsim", "crates/htcsim/src/fx.rs", text)]);
+    let out = scan(&[src("htcsim", "crates/htcsim/src/fx.rs", text)]);
     assert!(out.findings.is_empty(), "{:?}", out.findings);
     assert!(
         out.directive_errors.is_empty(),
@@ -324,7 +304,7 @@ fn allow_directives_suppress_with_reason_and_error_without() {
         "// fdwlint::allow(wall-clock-in-sim): measuring host-side setup cost only\n\
          fn f() { let _ = std::time::Instant::now(); }\n",
     );
-    let out = scan_sources(&[allowed]);
+    let out = scan(&[allowed]);
     assert!(out.findings.is_empty());
     assert!(out.directive_errors.is_empty());
 
@@ -334,7 +314,7 @@ fn allow_directives_suppress_with_reason_and_error_without() {
         "// fdwlint::allow(wall-clock-in-sim)\n\
          fn f() { let _ = std::time::Instant::now(); }\n",
     );
-    let out = scan_sources(&[reasonless]);
+    let out = scan(&[reasonless]);
     assert_eq!(out.directive_errors.len(), 1, "reason is mandatory");
     assert_eq!(out.findings.len(), 1, "broken directive must not suppress");
 
@@ -343,64 +323,63 @@ fn allow_directives_suppress_with_reason_and_error_without() {
         "crates/htcsim/src/fx.rs",
         "// fdwlint::allow(made-up-rule): nope\n",
     );
-    let out = scan_sources(&[unknown]);
+    let out = scan(&[unknown]);
     assert_eq!(out.directive_errors.len(), 1);
     assert!(out.directive_errors[0].message.contains("unknown rule"));
-    // Directive errors alone make the scan dirty even under an empty tree.
-    let r = Ratchet::compare(&out, &Baseline::default());
-    assert!(!r.is_clean(&out));
+    // A directive error alone fails the scan.
+    assert!(out.findings.is_empty());
+    assert!(!out.is_clean());
+}
+
+/// `(rel_path, line)` of each `raw-parallelism` finding, and whether any
+/// other rule fired.
+fn raw_parallelism_sites(files: &[SourceFile]) -> (Vec<(String, usize)>, bool) {
+    let out = scan(files);
+    let sites = out
+        .findings
+        .iter()
+        .filter(|f| f.rule == "raw-parallelism")
+        .map(|f| (f.rel_path.clone(), f.line))
+        .collect();
+    let others = out.findings.iter().any(|f| f.rule != "raw-parallelism");
+    (sites, others)
 }
 
 #[test]
-fn ratchet_fails_growth_accepts_status_quo_and_notes_reduction() {
-    let two = scan_sources(&[src(
-        "eew",
-        "crates/eew/src/fx.rs",
-        "fn f(a: Option<u32>, b: Option<u32>) -> u32 { a.unwrap() + b.unwrap() }\n",
-    )]);
-    assert_eq!(two.counts().get("unwrap-in-lib/eew"), Some(&2));
+fn parallel_sites_reachable_from_the_engines_fail_through_raw_parallelism() {
+    // A fan-out reachable from a pub fn of the DES engine, in the engine
+    // file itself and one call further in another file: `raw-parallelism`
+    // fails both on the primitive's line, and one written allow clears it.
+    let des_only = "pub fn run_epochs() { drain(); }\n\
+                    fn drain() {\n\
+                    \x20   rayon::join(|| 1, || 2);\n\
+                    }\n";
+    let des_calls_split = "pub fn run_epochs() { drain(); }\nfn drain() { helper_split(); }\n";
+    let split = "pub fn helper_split() {\n    rayon::join(|| 1, || 2);\n}\n";
+    let allow = "    // fdwlint::allow(raw-parallelism): epoch halves are disjoint index ranges; merge order is fixed\n";
+    let blessed =
+        |text: &str| text.replacen("    rayon::join", &format!("{allow}    rayon::join"), 1);
+    let des = "crates/htcsim/src/des.rs";
+    let split_rs = "crates/htcsim/src/split.rs";
 
-    let mut frozen = Baseline::default();
-    frozen.counts.insert("unwrap-in-lib/eew".into(), 2);
+    let one_file = [src("htcsim", des, des_only)];
+    assert_eq!(
+        raw_parallelism_sites(&one_file),
+        (vec![(des.into(), 3)], false)
+    );
+    let two_files = [
+        src("htcsim", des, des_calls_split),
+        src("htcsim", split_rs, split),
+    ];
+    assert_eq!(
+        raw_parallelism_sites(&two_files),
+        (vec![(split_rs.into(), 2)], false)
+    );
 
-    // Status quo is clean; growth is not; reduction is clean + improved.
-    let r = Ratchet::compare(&two, &frozen);
-    assert!(r.is_clean(&two), "{:?}", r.over_budget);
-
-    let mut tighter = Baseline::default();
-    tighter.counts.insert("unwrap-in-lib/eew".into(), 1);
-    let r = Ratchet::compare(&two, &tighter);
-    assert!(!r.is_clean(&two));
-    assert_eq!(r.over_budget.len(), 1);
-    assert_eq!(r.over_budget[0].3.len(), 2, "members listed for the bucket");
-
-    let one = scan_sources(&[src(
-        "eew",
-        "crates/eew/src/fx.rs",
-        "fn f(a: Option<u32>) -> u32 { a.unwrap() }\n",
-    )]);
-    let r = Ratchet::compare(&one, &frozen);
-    assert!(r.is_clean(&one));
-    assert_eq!(r.improved, vec![("unwrap-in-lib/eew".to_string(), 2, 1)]);
-    assert_eq!(r.tightened().count("unwrap-in-lib/eew"), 1);
-}
-
-#[test]
-fn baseline_json_roundtrips_through_the_obs_dialect() {
-    let mut b = Baseline::default();
-    b.counts.insert("unwrap-in-lib/eew".into(), 1);
-    b.counts.insert("raw-parallelism/fakequakes".into(), 3);
-    let text = b.to_json();
-    assert!(fdw_obs::json::validate(&text).is_ok(), "{text}");
-    let back = Baseline::parse(&text).expect("own output parses");
-    assert_eq!(back.counts, b.counts);
-    // Corrupt documents are rejected, not half-read; a missing counts
-    // object is an empty baseline, not an error.
-    assert!(Baseline::parse("{\"version\": 99, \"counts\": {}}").is_err());
-    assert!(Baseline::parse("{\"counts\": {}}").is_err());
-    assert!(Baseline::parse("not json").is_err());
-    assert!(Baseline::parse("{\"version\": 1}")
-        .unwrap()
-        .counts
-        .is_empty());
+    assert!(scan(&[src("htcsim", des, &blessed(des_only))]).is_clean());
+    assert!(scan(&[
+        src("htcsim", des, des_calls_split),
+        src("htcsim", split_rs, &blessed(split)),
+    ])
+    .is_clean());
 }

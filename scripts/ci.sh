@@ -41,12 +41,13 @@ for spec in grid_sweep:9d4df1aca382c859 burst_replay:08a7cbbe826e72f2; do
   esac
 done
 
-echo "==> fdwlint v2 (token + call-graph determinism lints vs ratchet baseline)"
+echo "==> fdwlint v2 (token + call-graph determinism lints)"
 # The graph pass (item parse, call resolution, taint over ~all workspace
 # sources) runs on every commit — hold it to a 30s wall-time budget so it
 # can never become the slow stage. The release binary is already built.
+# One scan: any finding or bad allow directive exits 1, with file:line
+# diagnostics on stderr; the JSON report goes to the file.
 lint_t0=$(date +%s)
-cargo run -q -p fdwlint --release
 cargo run -q -p fdwlint --release -- --json > target/fdwlint.report.json
 lint_wall=$(( $(date +%s) - lint_t0 ))
 if [ "$lint_wall" -ge 30 ]; then
