@@ -5,6 +5,7 @@
 //! The format is `key = value` lines with `#` comments — serialisable via
 //! [`FdwConfig::to_config_file`] and parsed by [`FdwConfig::parse`].
 
+use fakequakes::rupture::RuptureConfig;
 use fakequakes::stations::ChileanInput;
 use fakequakes::stf::StfKind;
 use fdw_service::config::ServiceConfig;
@@ -177,9 +178,14 @@ impl FdwConfig {
         if self.station_input.station_count() == 0 {
             return Err("station input cannot be empty".into());
         }
-        if self.mw_range.0 > self.mw_range.1 {
-            return Err("mw_range must be ordered".into());
+        // The rupture generator's own check, so a range it would refuse
+        // fails at parse time rather than in the first rupture job.
+        RuptureConfig {
+            mw_range: self.mw_range,
+            ..RuptureConfig::default()
         }
+        .validate()
+        .map_err(|e| e.to_string())?;
         if self.des_shards > 4096 {
             return Err("des_shards must be at most 4096".into());
         }
@@ -588,6 +594,14 @@ mod tests {
         assert!(FdwConfig::parse("fault_nx = 0\n").is_err());
         assert!(FdwConfig::parse("station_input = 0\n").is_err());
         assert!(FdwConfig::parse("ruptures_per_job = 0\n").is_err());
+    }
+
+    #[test]
+    fn magnitude_range_the_rupture_generator_refuses_is_rejected() {
+        for text in ["mw_min = 5.0\n", "mw_min = NaN\n", "mw_max = inf\n"] {
+            let err = FdwConfig::parse(text).expect_err(text);
+            assert!(err.contains("mw_range"), "{text:?}: {err}");
+        }
     }
 
     #[test]
