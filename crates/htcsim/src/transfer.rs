@@ -123,37 +123,16 @@ impl StashCache {
         }
     }
 
-    /// Compute the stage-in time of all of `spec`'s inputs at `site`, in
-    /// seconds, updating cache state. Cacheable files fetched at a site
-    /// for the first time are pulled from the origin and become cached
-    /// there.
-    pub fn stage_in_secs(&mut self, site: SiteId, spec: &JobSpec) -> f64 {
-        self.stage_in_secs_contended(site, spec, 1).0
-    }
-
-    /// Like [`Self::stage_in_secs`], but origin fetches run at the
-    /// effective bandwidth given `active_origin` concurrent origin
-    /// transfers. Returns `(seconds, used_origin)` so the caller can
-    /// track the concurrent-transfer count.
-    pub fn stage_in_secs_contended(
-        &mut self,
-        site: SiteId,
-        spec: &JobSpec,
-        active_origin: usize,
-    ) -> (f64, bool) {
-        let clean = FaultPlan::new(crate::fault::FaultConfig::default());
-        let staged = self.stage_in_verified(site, spec, active_origin, &clean, false);
-        (staged.secs, staged.used_origin)
-    }
-
-    /// Full defended stage-in: like [`Self::stage_in_secs_contended`],
-    /// but cache insertions roll `plan`'s corruption domain and — with
-    /// `verify` on — cache hits are checksum-verified. A corrupt hit
-    /// under verification is quarantined (evicted from the cache) after
-    /// paying its transfer time; the caller is expected to hold and
-    /// re-queue the job, whose retry re-fetches from origin. A corrupt
-    /// hit without verification is delivered silently and reported as
-    /// `poisoned`.
+    /// Stage in all of `spec`'s inputs at `site`, updating cache state.
+    /// Cacheable files fetched at a site for the first time are pulled
+    /// from the origin, at the effective bandwidth given `active_origin`
+    /// concurrent origin transfers, and become cached there; each such
+    /// insertion rolls `plan`'s corruption domain. With `verify` on, cache
+    /// hits are checksum-verified: a corrupt hit is quarantined (evicted
+    /// from the cache) after paying its transfer time, and the caller is
+    /// expected to hold and re-queue the job, whose retry re-fetches from
+    /// origin. A corrupt hit without verification is delivered silently
+    /// and reported as `poisoned`.
     pub fn stage_in_verified(
         &mut self,
         site: SiteId,
@@ -213,7 +192,14 @@ impl StashCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
     use crate::job::InputFile;
+
+    /// A fault-free, unverified stage-in with `active` origin transfers.
+    fn stage_in(cache: &mut StashCache, site: SiteId, j: &JobSpec, active: usize) -> StagedIn {
+        let clean = FaultPlan::new(FaultConfig::default());
+        cache.stage_in_verified(site, j, active, &clean, false)
+    }
 
     fn job_with_input(name: &str, mb: f64, cacheable: bool) -> JobSpec {
         let mut j = JobSpec::fixed("t", 60.0);
@@ -230,8 +216,8 @@ mod tests {
         let mut cache = StashCache::new();
         let j = job_with_input("gf.mseed", 1000.0, true);
         let site = SiteId(3);
-        let cold = cache.stage_in_secs(site, &j);
-        let warm = cache.stage_in_secs(site, &j);
+        let cold = stage_in(&mut cache, site, &j, 1).secs;
+        let warm = stage_in(&mut cache, site, &j, 1).secs;
         assert!(cold > warm * 3.0, "cold {cold} vs warm {warm}");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -242,8 +228,8 @@ mod tests {
     fn caches_are_per_site() {
         let mut cache = StashCache::new();
         let j = job_with_input("gf.mseed", 1000.0, true);
-        cache.stage_in_secs(SiteId(1), &j);
-        let other_site = cache.stage_in_secs(SiteId(2), &j);
+        stage_in(&mut cache, SiteId(1), &j, 1);
+        let other_site = stage_in(&mut cache, SiteId(2), &j, 1).secs;
         // Both cold: different sites don't share cache contents.
         assert!(other_site > 40.0);
         assert_eq!(cache.misses(), 2);
@@ -253,8 +239,8 @@ mod tests {
     fn non_cacheable_always_origin() {
         let mut cache = StashCache::new();
         let j = job_with_input("unique_input.bin", 500.0, false);
-        let a = cache.stage_in_secs(SiteId(1), &j);
-        let b = cache.stage_in_secs(SiteId(1), &j);
+        let a = stage_in(&mut cache, SiteId(1), &j, 1).secs;
+        let b = stage_in(&mut cache, SiteId(1), &j, 1).secs;
         assert_eq!(a, b);
         assert_eq!(cache.hits() + cache.misses(), 0);
     }
@@ -264,8 +250,8 @@ mod tests {
         let mut cache = StashCache::disabled();
         assert!(!cache.is_enabled());
         let j = job_with_input("gf.mseed", 1000.0, true);
-        let a = cache.stage_in_secs(SiteId(1), &j);
-        let b = cache.stage_in_secs(SiteId(1), &j);
+        let a = stage_in(&mut cache, SiteId(1), &j, 1).secs;
+        let b = stage_in(&mut cache, SiteId(1), &j, 1).secs;
         assert_eq!(a, b);
         assert_eq!(cache.hit_rate(), 0.0);
     }
@@ -274,7 +260,7 @@ mod tests {
     fn empty_inputs_cost_only_latency() {
         let mut cache = StashCache::new();
         let j = JobSpec::fixed("t", 60.0);
-        assert_eq!(cache.stage_in_secs(SiteId(0), &j), SETUP_LATENCY_S);
+        assert_eq!(stage_in(&mut cache, SiteId(0), &j, 1).secs, SETUP_LATENCY_S);
     }
 
     #[test]
@@ -305,18 +291,21 @@ mod tests {
     fn contended_stage_in_reports_origin_use() {
         let mut cache = StashCache::new();
         let j = job_with_input("gf.mseed", 1000.0, true);
-        let (cold, used) = cache.stage_in_secs_contended(SiteId(0), &j, 100);
-        assert!(used, "first fetch hits the origin");
-        let (uncontended, _) = cache.stage_in_secs_contended(SiteId(9), &j, 1);
-        assert!(cold > uncontended * 2.0, "{cold} vs {uncontended}");
-        let (warm, used) = cache.stage_in_secs_contended(SiteId(0), &j, 100);
-        assert!(!used, "cache hit avoids the origin entirely");
-        assert!(warm < uncontended);
+        let cold = stage_in(&mut cache, SiteId(0), &j, 100);
+        assert!(cold.used_origin, "first fetch hits the origin");
+        let uncontended = stage_in(&mut cache, SiteId(9), &j, 1).secs;
+        assert!(
+            cold.secs > uncontended * 2.0,
+            "{} vs {uncontended}",
+            cold.secs
+        );
+        let warm = stage_in(&mut cache, SiteId(0), &j, 100);
+        assert!(!warm.used_origin, "cache hit avoids the origin entirely");
+        assert!(warm.secs < uncontended);
     }
 
     #[test]
     fn verified_read_quarantines_and_refetch_is_clean() {
-        use crate::fault::{FaultConfig, FaultPlan};
         // Every insertion corrupts; verification must catch each one.
         let plan = FaultPlan::new(FaultConfig {
             seed: 7,
@@ -342,7 +331,6 @@ mod tests {
 
     #[test]
     fn unverified_read_delivers_poison_silently() {
-        use crate::fault::{FaultConfig, FaultPlan};
         let plan = FaultPlan::new(FaultConfig {
             seed: 7,
             corrupt_prob: 1.0,
@@ -362,25 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_corruption_plan_matches_legacy_path() {
-        use crate::fault::{FaultConfig, FaultPlan};
-        let plan = FaultPlan::new(FaultConfig::default());
-        let j = job_with_input("a.npy", 400.0, true);
-        let mut a = StashCache::new();
-        let mut b = StashCache::new();
-        for site in [SiteId(0), SiteId(0), SiteId(1)] {
-            let (secs, origin) = a.stage_in_secs_contended(site, &j, 2);
-            let v = b.stage_in_verified(site, &j, 2, &plan, true);
-            assert_eq!(secs, v.secs);
-            assert_eq!(origin, v.used_origin);
-            assert_eq!(v.quarantined, 0);
-            assert!(!v.poisoned);
-        }
-        assert_eq!(a.hits(), b.hits());
-        assert_eq!(a.misses(), b.misses());
-    }
-
-    #[test]
     fn multiple_inputs_accumulate() {
         let mut cache = StashCache::new();
         let mut j = job_with_input("a.npy", 250.0, true);
@@ -389,7 +358,7 @@ mod tests {
             size_mb: 250.0,
             cacheable: true,
         });
-        let t = cache.stage_in_secs(SiteId(0), &j);
+        let t = stage_in(&mut cache, SiteId(0), &j, 1).secs;
         assert!((t - (10.0 + 500.0 / 25.0)).abs() < 1e-9);
     }
 }

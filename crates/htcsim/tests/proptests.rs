@@ -6,6 +6,7 @@ use std::cmp::Ordering;
 
 use htcsim::csvlite;
 use htcsim::event::{Event, EventKey, EventQueue, JobStep, LaneId};
+use htcsim::fault::{FaultConfig, FaultPlan};
 use htcsim::job::{JobEvent, JobEventKind, JobId, JobSpec, OwnerId};
 use htcsim::pool::{Pool, PoolConfig};
 use htcsim::single::SingleMachine;
@@ -134,8 +135,9 @@ proptest! {
                 cacheable: true,
             });
         }
-        let cold = cache.stage_in_secs(SiteId(site), &spec);
-        let warm = cache.stage_in_secs(SiteId(site), &spec);
+        let clean = FaultPlan::new(FaultConfig::default());
+        let cold = cache.stage_in_verified(SiteId(site), &spec, 1, &clean, false).secs;
+        let warm = cache.stage_in_verified(SiteId(site), &spec, 1, &clean, false).secs;
         prop_assert!(warm <= cold + 1e-9);
         prop_assert!((0.0..=1.0).contains(&cache.hit_rate()));
     }
