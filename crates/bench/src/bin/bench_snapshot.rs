@@ -400,7 +400,7 @@ fn main() {
         black_box(cov.jacobi_eigen_reference(30).unwrap());
     });
     let (o_ns, o_it) = median_ns(3, floor, || {
-        black_box(cov.symmetric_eigen(30).unwrap());
+        black_box(cov.symmetric_eigen().unwrap());
     });
     rows.push(KernelRow {
         name: "symmetric_eigen",
@@ -418,7 +418,7 @@ fn main() {
     // 2. Truncated KL eigensolver vs the full decomposition it replaces.
     let k = (n / 4).max(1);
     let (o_ns, o_it) = median_ns(3, floor, || {
-        black_box(cov.symmetric_eigen_topk(k, 30).unwrap());
+        black_box(cov.symmetric_eigen_topk(k).unwrap());
     });
     rows.push(KernelRow {
         name: "symmetric_eigen_topk",
@@ -588,7 +588,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n    "),
     );
-    fdw_obs::json::validate(&doc).expect("snapshot JSON must parse");
 
     for r in &rows {
         eprintln!(
@@ -601,7 +600,5 @@ fn main() {
         );
     }
 
-    let out = std::env::var("FDW_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernels.json".into());
-    std::fs::write(&out, &doc).expect("write snapshot");
-    println!("wrote {out}");
+    fdw_bench::write_bench("BENCH_kernels.json", &doc);
 }

@@ -159,13 +159,7 @@ fn main() {
         base.report.makespan.as_secs(),
         arms.iter().map(arm_json).collect::<Vec<_>>().join(",\n  "),
     );
-    fdw_obs::json::validate(&doc).expect("scaling JSON must be valid");
-    let out = std::env::var("FDW_BENCH_OUT").unwrap_or_else(|_| "BENCH_des.json".into());
-    if let Err(e) = std::fs::write(&out, &doc) {
-        eprintln!("writing {out}: {e}");
-    } else {
-        println!("written to {out}");
-    }
+    fdw_bench::write_bench("BENCH_des.json", &doc);
 
     // Hard gates: byte-identical reports everywhere, and sharding must
     // actually pay against the monolithic heap at every thread count.

@@ -206,13 +206,7 @@ fn main() {
         arm_json(&off),
         arm_json(&on),
     );
-    fdw_obs::json::validate(&doc).expect("ablation JSON must be valid");
-    let out = std::env::var("FDW_BENCH_OUT").unwrap_or_else(|_| "BENCH_failover.json".into());
-    if let Err(e) = std::fs::write(&out, &doc) {
-        eprintln!("writing {out}: {e}");
-    } else {
-        println!("written to {out}");
-    }
+    fdw_bench::write_bench("BENCH_failover.json", &doc);
 
     let mut ok = true;
     for a in [&off, &on] {

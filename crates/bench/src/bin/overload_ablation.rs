@@ -234,13 +234,7 @@ fn main() {
         base_wl.seed,
         arms_json.join(",\n  "),
     );
-    fdw_obs::json::validate(&doc).expect("ablation JSON must be valid");
-    let out = std::env::var("FDW_BENCH_OUT").unwrap_or_else(|_| "BENCH_service.json".into());
-    if let Err(e) = std::fs::write(&out, &doc) {
-        eprintln!("writing {out}: {e}");
-    } else {
-        println!("written to {out}");
-    }
+    fdw_bench::write_bench("BENCH_service.json", &doc);
 
     let mut ok = true;
     for (off, on) in &arms {

@@ -20,7 +20,7 @@
 //! | `chaos_matrix`     | DESIGN.md §6 — fault class × intensity recovery matrix with science-digest check |
 //! | `defense_ablation` | DESIGN.md §10 — self-healing defenses off vs on; writes `BENCH_defenses.json` |
 //! | `failover_ablation`| DESIGN.md §11 — federated failover off vs on; writes `BENCH_failover.json` |
-//! | `overload_ablation`| DESIGN.md §15 — service front-end at 2×/6×/10× overload; writes `BENCH_service.json` |
+//! | `overload_ablation`| DESIGN.md §14 — service front-end at 2×/6×/10× overload; writes `BENCH_service.json` |
 //! | `des_scaling`      | DESIGN.md §12 — sharded DES engine vs the monolithic heap; writes `BENCH_des.json` |
 //! | `bench_snapshot`   | DESIGN.md §8 — optimised kernels vs their baselines; writes `BENCH_kernels.json` |
 //! | `validate_trace`   | Checks exported telemetry JSON (the `FDW_OBS_DIR` artifacts, fdwlint's report) |
@@ -73,6 +73,23 @@ pub fn git_rev() -> String {
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".into())
+}
+
+/// Write the BENCH document `doc` to `$FDW_BENCH_OUT`, or to `default`
+/// in the working directory when that is unset. A document that is not
+/// valid JSON, or a failed write, exits 1: a run must not pass while the
+/// BENCH file it names is missing or stale.
+pub fn write_bench(default: &str, doc: &str) {
+    let out = std::env::var("FDW_BENCH_OUT").unwrap_or_else(|_| default.into());
+    if let Err(pos) = fdw_obs::json::validate(doc) {
+        eprintln!("{out}: not valid JSON at byte {pos}");
+        std::process::exit(1);
+    }
+    if let Err(e) = std::fs::write(&out, doc) {
+        eprintln!("writing {out}: {e}");
+        std::process::exit(1);
+    }
+    println!("written to {out}");
 }
 
 /// Telemetry output directory (`FDW_OBS_DIR`), if requested.

@@ -588,6 +588,32 @@ mod tests {
     }
 
     #[test]
+    fn pool_fault_window_on_a_pool_the_federation_lacks_is_rejected() {
+        for key in ["fault_pool_outage", "fault_partition"] {
+            let text = format!("federation_enabled = true\n{key}_pool = 7\n{key}_s = 600\n");
+            let err = FdwConfig::parse(&text).expect_err(&text);
+            assert!(err.contains("pool index below 3"), "{text:?}: {err}");
+            let last = format!("federation_enabled = true\n{key}_pool = 2\n{key}_s = 600\n");
+            assert!(FdwConfig::parse(&last).is_ok(), "{last:?}");
+        }
+        // Without a live window the index steers nothing.
+        assert!(
+            FdwConfig::parse("federation_enabled = true\nfault_pool_outage_pool = 7\n").is_ok()
+        );
+    }
+
+    #[test]
+    fn hold_release_must_be_positive_without_policy_holds_too() {
+        // Transfer holds wait the same release time as policy holds.
+        for v in ["-30", "0"] {
+            let text =
+                format!("fault_transfer = 0.1\nfault_hold = 0\nfault_hold_release_s = {v}\n");
+            let err = FdwConfig::parse(&text).expect_err(&text);
+            assert!(err.contains("hold_release_s"), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
     fn parse_validates_result() {
         assert!(FdwConfig::parse("n_waveforms = 0\n").is_err());
         assert!(FdwConfig::parse("mw_min = 9.0\nmw_max = 8.0\n").is_err());

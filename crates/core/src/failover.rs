@@ -15,7 +15,6 @@
 
 use std::collections::BTreeSet;
 
-use fdw_obs::Obs;
 use htcsim::cluster::ClusterConfig;
 use htcsim::federation::FederationStats;
 use htcsim::pool::PoolConfig;
@@ -23,7 +22,7 @@ use htcsim::pool::PoolConfig;
 use crate::chaos::science_digest;
 use crate::config::FdwConfig;
 use crate::phases::build_fdw_dag;
-use crate::workflow::run_concurrent_fdw_with_obs;
+use crate::workflow::run_concurrent_fdw;
 
 /// Outcome of one failover campaign arm.
 #[derive(Debug, Clone)]
@@ -79,18 +78,6 @@ pub fn run_failover_campaign(
     cluster_cfg: &ClusterConfig,
     failover_on: bool,
 ) -> Result<FailoverReport, String> {
-    run_failover_campaign_with_obs(base_cfg, cluster_cfg, failover_on, &Obs::disabled())
-}
-
-/// [`run_failover_campaign`] with a telemetry handle; the
-/// `pool.federation.*` registry counters accumulate across arms sharing
-/// one handle.
-pub fn run_failover_campaign_with_obs(
-    base_cfg: &FdwConfig,
-    cluster_cfg: &ClusterConfig,
-    failover_on: bool,
-    obs: &Obs,
-) -> Result<FailoverReport, String> {
     let mut cfg = base_cfg.clone();
     cfg.federation.enabled = true;
     cfg.federation.failover_enabled = failover_on;
@@ -99,8 +86,7 @@ pub fn run_failover_campaign_with_obs(
     cfg.federation.checkpoint_enabled = failover_on && cfg.federation.checkpoint_enabled;
     cfg.validate()?;
 
-    let out =
-        run_concurrent_fdw_with_obs(&cfg, 1, cfg.n_waveforms, cluster_cfg.clone(), cfg.seed, obs)?;
+    let out = run_concurrent_fdw(&cfg, 1, cfg.n_waveforms, cluster_cfg.clone(), cfg.seed)?;
     let stats = &out.stats[0];
     let total = cfg.total_jobs();
     if stats.completed as u64 != total {

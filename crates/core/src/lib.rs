@@ -61,10 +61,7 @@ pub mod prelude {
         ChaosReport, FaultClass,
     };
     pub use crate::config::{FdwConfig, StationInput};
-    pub use crate::failover::{
-        federated_cluster_config, run_failover_campaign, run_failover_campaign_with_obs,
-        FailoverReport,
-    };
+    pub use crate::failover::{federated_cluster_config, run_failover_campaign, FailoverReport};
     pub use crate::phases::{build_fdw_dag, split_waveforms};
     pub use crate::service::{
         run_service_campaign, science_digest, ScienceReport, ServiceCampaignReport,

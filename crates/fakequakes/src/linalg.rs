@@ -406,9 +406,8 @@ impl Matrix {
     /// Returns `(eigenvalues, eigenvectors)` sorted by descending
     /// eigenvalue; eigenvector `k` is column `k` of the returned matrix,
     /// sign-canonicalised so its largest-magnitude component is
-    /// positive. `max_sweeps` bounds QL iterations per eigenvalue
-    /// (values ≥ 30 are typical; smaller values are clamped up to 30).
-    pub fn symmetric_eigen(&self, max_sweeps: usize) -> FqResult<(Vec<f64>, Matrix)> {
+    /// positive. QL runs at most 30 iterations per eigenvalue.
+    pub fn symmetric_eigen(&self) -> FqResult<(Vec<f64>, Matrix)> {
         if self.rows != self.cols {
             return Err(FqError::Linalg("eigen requires a square matrix".into()));
         }
@@ -420,7 +419,7 @@ impl Matrix {
         let mut d = red.d;
         let mut e = red.e;
         let mut qt = red.basis;
-        ql_implicit(&mut d, &mut e, Some(&mut qt), max_sweeps.max(30))?;
+        ql_implicit(&mut d, &mut e, Some(&mut qt))?;
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&x, &y| d[y].total_cmp(&d[x]).then(x.cmp(&y)));
         let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
@@ -448,11 +447,7 @@ impl Matrix {
     /// near-degenerate clusters, then Householder back-transform; each
     /// is sign-canonicalised exactly like [`Matrix::symmetric_eigen`],
     /// so the two paths agree (up to roundoff) on well-separated modes.
-    pub fn symmetric_eigen_topk(
-        &self,
-        k: usize,
-        max_sweeps: usize,
-    ) -> FqResult<(Vec<f64>, Matrix)> {
+    pub fn symmetric_eigen_topk(&self, k: usize) -> FqResult<(Vec<f64>, Matrix)> {
         if self.rows != self.cols {
             return Err(FqError::Linalg("eigen requires a square matrix".into()));
         }
@@ -464,7 +459,7 @@ impl Matrix {
         let red = self.tridiagonalize(false);
         let mut d = red.d.clone();
         let mut e = red.e.clone();
-        ql_implicit(&mut d, &mut e, None, max_sweeps.max(30))?;
+        ql_implicit(&mut d, &mut e, None)?;
         d.sort_by(|a, b| b.total_cmp(a));
         let vals = d;
 
@@ -756,6 +751,9 @@ fn canonicalize_sign(x: &mut [f64]) {
     }
 }
 
+/// Cap on implicit-shift QL iterations per eigenvalue (EISPACK `tql2`'s).
+const QL_MAX_ITERATIONS: usize = 30;
+
 /// Implicit-shift QL on a tridiagonal `(d, e)` (a `tql2`/`tql1` port).
 ///
 /// On entry `e[i]` couples rows `i-1` and `i` (`e[0]` ignored); on exit
@@ -763,13 +761,8 @@ fn canonicalize_sign(x: &mut [f64]) {
 /// are rotated along — pass `Qᵀ` from the reduction and row `k` ends up
 /// as the eigenvector of `d[k]` (transposed storage makes each rotation
 /// touch two contiguous rows instead of two strided columns).
-/// `max_iter` bounds iterations per eigenvalue.
-fn ql_implicit(
-    d: &mut [f64],
-    e: &mut [f64],
-    mut zt: Option<&mut Matrix>,
-    max_iter: usize,
-) -> FqResult<()> {
+/// At most [`QL_MAX_ITERATIONS`] iterations per eigenvalue.
+fn ql_implicit(d: &mut [f64], e: &mut [f64], mut zt: Option<&mut Matrix>) -> FqResult<()> {
     let n = d.len();
     if n == 0 {
         return Ok(());
@@ -792,9 +785,9 @@ fn ql_implicit(
             if m == l {
                 break;
             }
-            if iter >= max_iter {
+            if iter >= QL_MAX_ITERATIONS {
                 return Err(FqError::Linalg(format!(
-                    "QL failed to converge for eigenvalue {l} after {max_iter} iterations"
+                    "QL failed to converge for eigenvalue {l} after {QL_MAX_ITERATIONS} iterations"
                 )));
             }
             iter += 1;
@@ -1170,7 +1163,7 @@ mod tests {
         m[(0, 0)] = 3.0;
         m[(1, 1)] = 1.0;
         m[(2, 2)] = 2.0;
-        let (vals, _) = m.symmetric_eigen(30).unwrap();
+        let (vals, _) = m.symmetric_eigen().unwrap();
         assert!(approx(vals[0], 3.0, 1e-10));
         assert!(approx(vals[1], 2.0, 1e-10));
         assert!(approx(vals[2], 1.0, 1e-10));
@@ -1180,7 +1173,7 @@ mod tests {
     fn eigen_known_2x2() {
         // [[2,1],[1,2]] has eigenvalues 3 and 1.
         let m = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]).unwrap();
-        let (vals, vecs) = m.symmetric_eigen(30).unwrap();
+        let (vals, vecs) = m.symmetric_eigen().unwrap();
         assert!(approx(vals[0], 3.0, 1e-10));
         assert!(approx(vals[1], 1.0, 1e-10));
         // Eigenvector for λ=3 is (1,1)/√2 up to sign.
@@ -1194,7 +1187,7 @@ mod tests {
         // Symmetric matrix; check A ≈ V diag(λ) V^T.
         let n = 6;
         let m = Matrix::from_fn(n, n, |i, j| 1.0 / (1.0 + (i as f64 - j as f64).abs()));
-        let (vals, vecs) = m.symmetric_eigen(50).unwrap();
+        let (vals, vecs) = m.symmetric_eigen().unwrap();
         for i in 0..n {
             for j in 0..n {
                 let mut s = 0.0;
@@ -1208,10 +1201,10 @@ mod tests {
 
     #[test]
     fn eigen_empty_matrix() {
-        let (vals, vecs) = Matrix::zeros(0, 0).symmetric_eigen(10).unwrap();
+        let (vals, vecs) = Matrix::zeros(0, 0).symmetric_eigen().unwrap();
         assert!(vals.is_empty());
         assert_eq!(vecs.rows(), 0);
-        let (vals, vecs) = Matrix::zeros(0, 0).symmetric_eigen_topk(3, 10).unwrap();
+        let (vals, vecs) = Matrix::zeros(0, 0).symmetric_eigen_topk(3).unwrap();
         assert!(vals.is_empty());
         assert_eq!(vecs.rows(), 0);
     }
@@ -1220,7 +1213,7 @@ mod tests {
     fn eigenvalue_sum_equals_trace() {
         let n = 8;
         let m = Matrix::from_fn(n, n, |i, j| (-((i as f64 - j as f64).powi(2)) / 4.0).exp());
-        let (vals, _) = m.symmetric_eigen(50).unwrap();
+        let (vals, _) = m.symmetric_eigen().unwrap();
         let trace: f64 = (0..n).map(|i| m[(i, i)]).sum();
         let sum: f64 = vals.iter().sum();
         assert!(approx(sum, trace, 1e-8), "sum={sum} trace={trace}");
@@ -1244,7 +1237,7 @@ mod tests {
                 0.0
             }
         });
-        let (vals, vecs) = m.symmetric_eigen(50).unwrap();
+        let (vals, vecs) = m.symmetric_eigen().unwrap();
         // Analytic eigenvalues, descending: k = n, n-1, …, 1.
         for (rank, lam) in vals.iter().enumerate() {
             let k = (n - rank) as f64;
@@ -1270,7 +1263,7 @@ mod tests {
         let m = Matrix::from_fn(n, n, |i, j| {
             (-((i as f64 - j as f64).powi(2)) / 9.0).exp() + if i == j { 0.5 } else { 0.0 }
         });
-        let (new_vals, _) = m.symmetric_eigen(50).unwrap();
+        let (new_vals, _) = m.symmetric_eigen().unwrap();
         let (ref_vals, _) = m.jacobi_eigen_reference(50).unwrap();
         for (a, b) in new_vals.iter().zip(&ref_vals) {
             assert!(approx(*a, *b, 1e-9), "{a} vs {b}");
@@ -1291,9 +1284,9 @@ mod tests {
             let r = (pos[i] - pos[j]).abs() / 5.0;
             (-r).exp()
         });
-        let (full_vals, full_vecs) = m.symmetric_eigen(50).unwrap();
+        let (full_vals, full_vecs) = m.symmetric_eigen().unwrap();
         let k = 6;
-        let (top_vals, top_vecs) = m.symmetric_eigen_topk(k, 50).unwrap();
+        let (top_vals, top_vecs) = m.symmetric_eigen_topk(k).unwrap();
         assert_eq!(top_vals.len(), n);
         assert_eq!(top_vecs.cols(), k);
         for j in 0..n {
@@ -1319,7 +1312,7 @@ mod tests {
         m[(0, 0)] = 2.0;
         m[(1, 1)] = 2.0;
         m[(2, 2)] = 1.0;
-        let (vals, vecs) = m.symmetric_eigen_topk(2, 30).unwrap();
+        let (vals, vecs) = m.symmetric_eigen_topk(2).unwrap();
         assert!(approx(vals[0], 2.0, 1e-12));
         assert!(approx(vals[1], 2.0, 1e-12));
         let dot: f64 = (0..3).map(|i| vecs[(i, 0)] * vecs[(i, 1)]).sum();
@@ -1343,7 +1336,7 @@ mod tests {
             let r = (i as f64 - j as f64).abs() / 3.0;
             (1.0 + r) * (-r).exp()
         });
-        let (vals, vecs) = m.symmetric_eigen_topk(5, 50).unwrap();
+        let (vals, vecs) = m.symmetric_eigen_topk(5).unwrap();
         for c in 0..5 {
             let v: Vec<f64> = (0..n).map(|i| vecs[(i, c)]).collect();
             let av = m.matvec(&v);

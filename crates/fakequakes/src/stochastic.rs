@@ -87,9 +87,9 @@ impl CorrelatedField {
                 // returns all n eigenvalues, so variance bookkeeping is
                 // exact. With k = n the full QL path is cheaper.
                 let (vals, vecs) = if k < n {
-                    cov.symmetric_eigen_topk(k, 30)?
+                    cov.symmetric_eigen_topk(k)?
                 } else {
-                    cov.symmetric_eigen(30)?
+                    cov.symmetric_eigen()?
                 };
                 let total: f64 = vals.iter().map(|v| v.max(0.0)).sum();
                 let kept: f64 = vals.iter().take(k).map(|v| v.max(0.0)).sum();

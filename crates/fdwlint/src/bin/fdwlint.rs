@@ -1,8 +1,8 @@
-//! The `fdwlint` CLI — scan the workspace (token rules + the call-graph
-//! pass) and report.
+//! The `fdwlint` CLI — scan the workspace (token rules + the table
+//! rules) and report.
 //!
 //! ```text
-//! fdwlint [--root DIR] [--json] [--taint-depth N] [--list-rules] [--explain RULE]
+//! fdwlint [--root DIR] [--json] [--list-rules] [--explain RULE]
 //! ```
 //!
 //! Exit status: `0` clean, `1` violations (any finding or bad allow
@@ -14,18 +14,16 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fdwlint::{collect_workspace_sources, find_root, report, rules, AnalysisOptions};
+use fdwlint::{collect_workspace_sources, find_root, report, rules};
 
 struct Args {
     root: Option<PathBuf>,
     json: bool,
     list_rules: bool,
     explain: Option<String>,
-    taint_depth: usize,
 }
 
-const USAGE: &str = "usage: fdwlint [--root DIR] [--json] [--taint-depth N] \
-     [--list-rules] [--explain RULE]\n\
+const USAGE: &str = "usage: fdwlint [--root DIR] [--json] [--list-rules] [--explain RULE]\n\
      exit codes: 0 clean, 1 violations, 2 usage/IO error";
 
 fn parse_args() -> Result<Args, String> {
@@ -34,7 +32,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         list_rules: false,
         explain: None,
-        taint_depth: AnalysisOptions::default().taint_depth,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -43,13 +40,6 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = true,
             "--list-rules" => args.list_rules = true,
             "--explain" => args.explain = Some(it.next().ok_or("--explain needs a rule name")?),
-            "--taint-depth" => {
-                args.taint_depth = it
-                    .next()
-                    .ok_or("--taint-depth needs a number")?
-                    .parse()
-                    .map_err(|_| "--taint-depth needs a non-negative integer".to_string())?
-            }
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
@@ -105,10 +95,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let opts = AnalysisOptions {
-        taint_depth: args.taint_depth,
-    };
-    let outcome = fdwlint::scan_workspace(&sources, &opts);
+    let outcome = fdwlint::scan_workspace(&sources);
 
     eprint!("{}", report::human(&outcome));
     if args.json {

@@ -19,7 +19,7 @@
 //! Handled literal forms: line comments (`//`, `///`, `//!`), nested
 //! block comments, `"..."` with escapes **including the `\`-newline line
 //! continuation** (the escaped newline still flushes a line, so the
-//! line-number accounting the item parser depends on never drifts), raw
+//! line numbers every rule reports never drift), raw
 //! strings `r"..."` / `r#"..."#` (any hash depth), byte variants
 //! `b"..."` / `br#"..."#`, char and byte-char literals including escapes
 //! and the `'"'` / `'/'` forms that would otherwise derail string or

@@ -12,8 +12,8 @@
 //!   rule text or test code;
 //! * [`rules`] — the rule set ([`rules::RULES`]) with per-crate scoping
 //!   and inline `// fdwlint::allow(<rule>): <reason>` escape hatches;
-//! * [`graph`] and [`taint`] — the workspace call graph and the rules
-//!   that follow it across function boundaries;
+//! * [`tables`] — the two rules that check the workspace against a
+//!   table kept in one file (the parameter-file keys, the ULOG codes);
 //! * [`report`] — human `file:line` diagnostics and the machine-readable
 //!   JSON report (validated by `fdw_obs::json::validate`).
 //!
@@ -23,18 +23,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod syntax;
-pub mod taint;
+pub mod tables;
 
 use std::path::{Path, PathBuf};
 
-pub use graph::GraphStats;
+use rules::FileInfo;
 pub use rules::{DirectiveError, Finding, SourceFile};
-pub use taint::{AllowedFlow, AnalysisOptions};
 
 /// Everything one scan produced.
 #[derive(Debug)]
@@ -45,10 +42,6 @@ pub struct ScanOutcome {
     pub directive_errors: Vec<DirectiveError>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Source→sink flows downgraded by an `fdwlint::allow` on some hop.
-    pub allowed_flows: Vec<AllowedFlow>,
-    /// Call-site resolution statistics of the graph pass.
-    pub graph_stats: GraphStats,
 }
 
 impl ScanOutcome {
@@ -59,13 +52,12 @@ impl ScanOutcome {
 }
 
 /// Scan `files`: lex each one once, then run the per-file token rules and
-/// the call-graph pass ([`graph`] + [`taint`]), which follows
-/// nondeterminism across function boundaries, over the lexed files.
-pub fn scan_workspace(files: &[SourceFile], opts: &AnalysisOptions) -> ScanOutcome {
-    let g = graph::build(files);
-    let (mut findings, allowed_flows) = taint::analyze(&g, opts);
+/// the table rules over the lexed files.
+pub fn scan_workspace(files: &[SourceFile]) -> ScanOutcome {
+    let infos: Vec<FileInfo> = files.iter().map(FileInfo::new).collect();
+    let mut findings = tables::scan(&infos);
     let mut directive_errors = Vec::new();
-    for (src, info) in files.iter().zip(&g.files) {
+    for (src, info) in files.iter().zip(&infos) {
         findings.extend(rules::scan_file(info, &src.text));
         directive_errors.extend(info.allows.errors.iter().cloned());
     }
@@ -76,8 +68,6 @@ pub fn scan_workspace(files: &[SourceFile], opts: &AnalysisOptions) -> ScanOutco
         findings,
         directive_errors,
         files_scanned: files.len(),
-        allowed_flows,
-        graph_stats: g.stats,
     }
 }
 

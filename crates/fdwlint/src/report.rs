@@ -7,10 +7,10 @@ use crate::ScanOutcome;
 use fdw_obs::json::escape;
 
 /// Schema version of the JSON report.
-const REPORT_VERSION: u64 = 2;
+const REPORT_VERSION: u64 = 3;
 
 /// Human diagnostics: directive errors, then every finding with its
-/// call chain. Empty string when the scan is clean.
+/// explanation lines. Empty string when the scan is clean.
 pub fn human(outcome: &ScanOutcome) -> String {
     let mut out = String::new();
     for e in &outcome.directive_errors {
@@ -33,18 +33,12 @@ pub fn human(outcome: &ScanOutcome) -> String {
 
 /// One-line summary of a scan.
 pub fn summary(outcome: &ScanOutcome) -> String {
-    let g = &outcome.graph_stats;
     format!(
-        "fdwlint: {} file(s), {} rule(s), {} finding(s), {} directive error(s), \
-         call graph {}/{} site(s) resolved ({:.1}%), {} allowed flow(s)",
+        "fdwlint: {} file(s), {} rule(s), {} finding(s), {} directive error(s)",
         outcome.files_scanned,
         crate::rules::RULES.len(),
         outcome.findings.len(),
         outcome.directive_errors.len(),
-        g.workspace_sites + g.non_workspace_sites,
-        g.total_sites,
-        g.resolution_rate() * 100.0,
-        outcome.allowed_flows.len()
     )
 }
 
@@ -108,36 +102,7 @@ pub fn json(outcome: &ScanOutcome) -> String {
             str_array(&f.chain)
         ));
     }
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"allowed_flows\": [");
-    for (i, a) in outcome.allowed_flows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"sink_kind\": \"{}\", \"reason\": \"{}\", \"chain\": [{}]}}",
-            escape(a.rule),
-            escape(&a.rel_path),
-            a.line,
-            escape(&a.sink_kind),
-            escape(&a.reason),
-            str_array(&a.chain)
-        ));
-    }
-    out.push_str("\n  ],\n");
-
-    let g = &outcome.graph_stats;
-    out.push_str(&format!(
-        "  \"graph\": {{\"total_sites\": {}, \"workspace_sites\": {}, \"non_workspace_sites\": {}, \"unresolved_sites\": {}, \"ambiguous_sites\": {}, \"resolution_rate\": {:.4}}}\n",
-        g.total_sites,
-        g.workspace_sites,
-        g.non_workspace_sites,
-        g.unresolved_sites,
-        g.ambiguous_sites,
-        g.resolution_rate()
-    ));
-    out.push_str("}\n");
+    out.push_str("\n  ]\n}\n");
     debug_assert!(fdw_obs::json::validate(&out).is_ok());
     out
 }
@@ -155,7 +120,7 @@ fn str_array(items: &[String]) -> String {
 mod tests {
     use super::*;
     use crate::rules::SourceFile;
-    use crate::{scan_workspace, AnalysisOptions};
+    use crate::scan_workspace;
 
     fn sample() -> ScanOutcome {
         let files = [SourceFile {
@@ -163,7 +128,7 @@ mod tests {
             rel_path: "crates/htcsim/src/x.rs".into(),
             text: "fn f() { let t = std::time::Instant::now(); }\n".into(),
         }];
-        scan_workspace(&files, &AnalysisOptions::default())
+        scan_workspace(&files)
     }
 
     #[test]

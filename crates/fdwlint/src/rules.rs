@@ -8,11 +8,11 @@
 //! crate so e.g. the bench harness may read the wall clock while
 //! simulation crates may not.
 
-use crate::graph::FileInfo;
+use crate::lexer::{mask, Masked};
 
 /// Rule identifiers, in report order. The first seven are per-file token
-/// rules; the last three run on the workspace call graph
-/// ([`crate::graph`]/[`crate::taint`], DESIGN.md §14).
+/// rules; the last two check the workspace against a table kept in one
+/// file ([`crate::tables`]).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "wall-clock-in-sim",
@@ -23,9 +23,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "unordered-hash-iteration",
-        description: "iterating a HashMap/HashSet in a crate whose output must be byte-stable \
-                      (htcsim, dagman, fdw-obs, vdc-*) without sorting or an order-insensitive \
-                      consumer: ULOG/metrics/rescue bytes must not depend on hasher state",
+        description: "iterating a HashMap/HashSet without sorting or an order-insensitive \
+                      consumer, in any crate: ULOG, metrics, rescue, .npy/.mseed, digest and \
+                      BENCH bytes must not depend on hasher state",
         example: "for (job, rt) in &self.jobs { out.push_str(&render(job, rt)); }",
     },
     RuleInfo {
@@ -66,19 +66,6 @@ pub const RULES: &[RuleInfo] = &[
         example: "let mut h = 0xcbf2_9ce4_…u64; // the offset basis: use fdw_obs::digest",
     },
     RuleInfo {
-        name: "nondet-flow-to-sink",
-        description: "a function from which both a nondeterminism source (wall clock, hash \
-                      iteration order, unseeded RNG, non-canonical float fold) and a serialized \
-                      sink (ULOG writer, telemetry exporter, .npy/.mseed serializer, digest, \
-                      BENCH json) are reachable within --taint-depth calls, with no single \
-                      callee joining them deeper: the join point of a tainted dataflow, \
-                      reported with the full call chain",
-        example: "fn report(obs: &Obs) {\n\
-                  \x20   let t0 = std::time::Instant::now();              // wall-clock source\n\
-                  \x20   obs.observe(\"io_s\", t0.elapsed().as_secs_f64()); // telemetry sink\n\
-                  }",
-    },
-    RuleInfo {
         name: "dead-config-knob",
         description: "a row of the parameter-file key table (config_keys! in \
                       crates/core/src/config.rs) whose FdwConfig field is never read outside \
@@ -112,32 +99,24 @@ pub fn is_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
 }
 
-/// Crates whose emitted artifacts (ULOG, rescue files, metrics/trace
-/// JSON, CSV, catalog listings) must be byte-stable across runs and
-/// hasher seeds — the scope of `unordered-hash-iteration`.
-pub const BYTE_STABLE_CRATES: &[&str] =
-    &["htcsim", "dagman", "fdw-obs", "vdc-burst", "vdc-catalog"];
-
 /// The single sanctioned home of parallel primitives.
-pub const PARALLELISM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/par.rs"];
+const PARALLELISM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/par.rs"];
 
 /// The sanctioned home of lane-ordered float reductions — the module that
 /// *defines* `lane_sum` may of course spell out scalar sums (its reference
 /// twins and doc text) — the scope exemption of `naive-float-accum`.
-pub const LANE_SUM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/simd.rs"];
+const LANE_SUM_ALLOWLIST: &[&str] = &["crates/fakequakes/src/simd.rs"];
 
 /// The home of the FNV-1a constants — the scope exemption of
 /// `fnv-outside-digest`. The one other fold, fakequakes' factor-cache
 /// key, carries an inline allow with its reason.
 const FNV_ALLOWLIST: &[&str] = &["crates/obs/src/digest.rs"];
 
-/// Wall-clock spellings — shared between the per-file
-/// `wall-clock-in-sim` rule and the taint pass's sources.
-pub(crate) const WALL_CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime::now"];
+/// Wall-clock spellings — the `wall-clock-in-sim` rule.
+const WALL_CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime::now"];
 
-/// Unseeded-RNG spellings — shared between the per-file
-/// `unseeded-randomness` rule and the taint pass's sources.
-pub(crate) const UNSEEDED_RNG_PATTERNS: &[&str] = &[
+/// Unseeded-RNG spellings — the `unseeded-randomness` rule.
+const UNSEEDED_RNG_PATTERNS: &[&str] = &[
     "thread_rng",
     "rand::random",
     "from_entropy",
@@ -145,9 +124,8 @@ pub(crate) const UNSEEDED_RNG_PATTERNS: &[&str] = &[
     "getrandom",
 ];
 
-/// The non-canonical float fold — shared between the per-file
-/// `naive-float-accum` rule and the taint pass's sources.
-pub(crate) const NAIVE_FLOAT_SUM: &str = ".sum::<f64>()";
+/// The non-canonical float fold — the `naive-float-accum` rule.
+const NAIVE_FLOAT_SUM: &str = ".sum::<f64>()";
 
 /// Raw parallel-primitive spellings — the `raw-parallelism` rule.
 const PAR_PATTERNS: &[&str] = &[
@@ -184,9 +162,8 @@ pub struct Finding {
     pub line: usize,
     /// The offending source line, trimmed.
     pub excerpt: String,
-    /// For graph rules: the call chain behind the finding, one hop per
-    /// entry, rendered into the human and JSON reports. Empty for
-    /// per-file rules.
+    /// For the table rules: why the line fails, rendered into the human
+    /// and JSON reports. Empty for per-file rules.
     pub chain: Vec<String>,
 }
 
@@ -202,13 +179,46 @@ pub struct DirectiveError {
     pub message: String,
 }
 
+/// One source file of a scan, lexed once: the token rules and the table
+/// rules all read these channels and directives.
+#[derive(Debug)]
+pub(crate) struct FileInfo {
+    /// Package name owning the file.
+    pub(crate) crate_name: String,
+    /// Workspace-relative path.
+    pub(crate) rel_path: String,
+    /// Masked lexer channels.
+    pub(crate) masked: Masked,
+    /// Under a `tests/`/`benches/`/`examples/` tree: every rule skips it.
+    pub(crate) is_test_path: bool,
+    /// The file's allow directives; their errors are the scan's
+    /// directive errors.
+    pub(crate) allows: Allows,
+}
+
+impl FileInfo {
+    /// Mask `f` and parse its allow directives.
+    pub(crate) fn new(f: &SourceFile) -> Self {
+        let masked = mask(&f.text);
+        Self {
+            crate_name: f.crate_name.clone(),
+            rel_path: f.rel_path.clone(),
+            is_test_path: ["tests/", "benches/", "examples/"]
+                .iter()
+                .any(|d| f.rel_path.starts_with(d) || f.rel_path.contains(&format!("/{d}"))),
+            allows: parse_allows(&f.rel_path, &masked.comments),
+            masked,
+        }
+    }
+}
+
 /// Parsed allow directives of one file.
 #[derive(Debug, Default)]
 pub(crate) struct Allows {
-    /// (line, rule, reason): suppress `rule` on that line and the next.
-    pub(crate) inline: Vec<(usize, String, String)>,
-    /// (rule, reason) pairs suppressed for the whole file.
-    pub(crate) file: Vec<(String, String)>,
+    /// (line, rule): suppress `rule` on that line and the next.
+    inline: Vec<(usize, String)>,
+    /// Rules suppressed for the whole file.
+    file: Vec<String>,
     pub(crate) errors: Vec<DirectiveError>,
 }
 
@@ -216,23 +226,11 @@ impl Allows {
     /// Is `rule` suppressed at `line` (directive on the line or the one
     /// above, or file-wide)?
     pub(crate) fn allowed(&self, rule: &str, line: usize) -> bool {
-        self.file.iter().any(|(r, _)| r == rule)
+        self.file.iter().any(|r| r == rule)
             || self
                 .inline
                 .iter()
-                .any(|(l, r, _)| r == rule && (*l == line || *l + 1 == line))
-    }
-
-    /// The written justification for a suppression of `rule` anywhere in
-    /// the line range `[lo, hi]` (or file-wide), if one exists.
-    pub(crate) fn reason_in_span(&self, rule: &str, lo: usize, hi: usize) -> Option<String> {
-        if let Some((_, reason)) = self.file.iter().find(|(r, _)| r == rule) {
-            return Some(reason.clone());
-        }
-        self.inline
-            .iter()
-            .find(|(l, r, _)| r == rule && *l >= lo && *l <= hi)
-            .map(|(_, _, reason)| reason.clone())
+                .any(|(l, r)| r == rule && (*l == line || *l + 1 == line))
     }
 }
 
@@ -241,7 +239,7 @@ impl Allows {
 /// and carry a non-empty `: <reason>` tail, and must open the comment
 /// (`// fdwlint::allow(...)`) — prose *mentioning* the syntax mid-comment
 /// is not a directive.
-pub(crate) fn parse_allows(rel_path: &str, comments: &[String]) -> Allows {
+fn parse_allows(rel_path: &str, comments: &[String]) -> Allows {
     let mut out = Allows::default();
     for (idx, text) in comments.iter().enumerate() {
         let trimmed = text.trim_start();
@@ -272,22 +270,19 @@ pub(crate) fn parse_allows(rel_path: &str, comments: &[String]) -> Allows {
             err(format!("allow directive names unknown rule '{rule}'"));
             continue;
         }
-        let tail = &rest[close + 1..];
-        let reason = tail
+        let has_reason = rest[close + 1..]
             .strip_prefix(':')
-            .map(str::trim)
-            .filter(|r| !r.is_empty())
-            .map(str::to_string);
-        let Some(reason) = reason else {
+            .is_some_and(|r| !r.trim().is_empty());
+        if !has_reason {
             err(format!(
                 "allow({rule}) needs a rationale: `fdwlint::allow({rule}): <why>`"
             ));
             continue;
-        };
+        }
         if is_file {
-            out.file.push((rule, reason));
+            out.file.push(rule);
         } else {
-            out.inline.push((idx + 1, rule, reason));
+            out.inline.push((idx + 1, rule));
         }
     }
     out
@@ -340,10 +335,7 @@ pub(crate) fn scan_file(file: &FileInfo, text: &str) -> Vec<Finding> {
         }
 
         // unordered-hash-iteration
-        if BYTE_STABLE_CRATES.contains(&file.crate_name.as_str())
-            && iterates_hash(code, &hash_names)
-            && !order_insensitive(&m.code, idx)
-        {
+        if iterates_hash(code, &hash_names) && !order_insensitive(&m.code, idx) {
             push("unordered-hash-iteration", line);
         }
 
@@ -361,11 +353,9 @@ pub(crate) fn scan_file(file: &FileInfo, text: &str) -> Vec<Finding> {
             push("fnv-outside-digest", line);
         }
 
-        // naive-float-accum: fakequakes library code only; the simd module
-        // itself (home of lane_sum and its scalar reference twin) is exempt.
-        if file.crate_name == "fakequakes"
-            && !LANE_SUM_ALLOWLIST.contains(&file.rel_path.as_str())
-            && !file.rel_path.contains("/src/bin/")
+        // naive-float-accum: fakequakes only; the simd module itself (home
+        // of lane_sum and its scalar reference twin) is exempt.
+        if file.crate_name == "fakequakes" && !LANE_SUM_ALLOWLIST.contains(&file.rel_path.as_str())
         {
             let hits = count_occurrences(code, NAIVE_FLOAT_SUM);
             for _ in 0..hits {
@@ -381,7 +371,7 @@ pub(crate) fn scan_file(file: &FileInfo, text: &str) -> Vec<Finding> {
 /// `x = HashMap::new()` / `HashSet::with_capacity(..)` forms. A
 /// name-level (not type-level) analysis — deliberately conservative, with
 /// the allow directive as the escape hatch.
-pub(crate) fn collect_hash_names(code: &[String], in_test: &[bool]) -> Vec<String> {
+fn collect_hash_names(code: &[String], in_test: &[bool]) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
     for (idx, line) in code.iter().enumerate() {
         if in_test[idx] {
@@ -463,7 +453,7 @@ fn binder_before(prefix: &str) -> Option<String> {
 }
 
 /// Does this masked line iterate one of the hash-typed names?
-pub(crate) fn iterates_hash(code: &str, names: &[String]) -> bool {
+fn iterates_hash(code: &str, names: &[String]) -> bool {
     for name in names {
         for suffix in [
             ".iter()",
@@ -549,7 +539,7 @@ fn contains_ident(code: &str, pat: &str, name_len: usize) -> bool {
 /// Looks ahead up to 4 lines for a sort, a BTree re-collection, or a
 /// commutative consumer; an opening `{` stops the window, because a loop
 /// body observes elements in hash order no matter what follows it.
-pub(crate) fn order_insensitive(code: &[String], idx: usize) -> bool {
+fn order_insensitive(code: &[String], idx: usize) -> bool {
     let mut stmt = String::new();
     for line in code.iter().skip(idx).take(4) {
         stmt.push_str(line);
@@ -679,12 +669,21 @@ mod tests {
     }
 
     #[test]
-    fn hash_iteration_fires_only_in_byte_stable_crates() {
+    fn hash_iteration_fires_in_every_crate() {
         let src = "fn f() {\n    let mut m: HashMap<u32, u32> = HashMap::new();\n    for (k, v) in &m { emit(k, v); }\n}\n";
-        let hit = file("htcsim", "crates/htcsim/src/x.rs", src);
-        assert_eq!(rules_fired(&hit), vec!["unordered-hash-iteration"]);
-        let other = file("fakequakes", "crates/fakequakes/src/x.rs", src);
-        assert!(rules_fired(&other).is_empty());
+        for (krate, path) in [
+            ("htcsim", "crates/htcsim/src/x.rs"),
+            ("fakequakes", "crates/fakequakes/src/x.rs"),
+            ("fdw-core", "crates/core/src/x.rs"),
+            ("fdw-bench", "crates/bench/src/bin/x.rs"),
+        ] {
+            let hit = file(krate, path, src);
+            assert_eq!(
+                rules_fired(&hit),
+                vec!["unordered-hash-iteration"],
+                "{path}"
+            );
+        }
     }
 
     #[test]
@@ -749,6 +748,9 @@ mod tests {
         // The simd module defines lane_sum and its scalar twin — exempt.
         let home = file("fakequakes", "crates/fakequakes/src/simd.rs", src);
         assert!(rules_fired(&home).is_empty());
+        // So is a fakequakes bin target.
+        let bin = file("fakequakes", "crates/fakequakes/src/bin/tool.rs", src);
+        assert_eq!(rules_fired(&bin), vec!["naive-float-accum"]);
         // Other crates are out of scope (their sums feed no goldens).
         let other = file("htcsim", "crates/htcsim/src/x.rs", src);
         assert!(rules_fired(&other).is_empty());

@@ -4,7 +4,7 @@
 //! single verdict behave end to end the way `scripts/ci.sh` depends on.
 
 use fdw_obs::digest::{DIGEST_INIT, FNV_PRIME};
-use fdwlint::{scan_workspace, AnalysisOptions, SourceFile};
+use fdwlint::{scan_workspace, SourceFile};
 
 fn src(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
     SourceFile {
@@ -14,9 +14,9 @@ fn src(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
     }
 }
 
-/// Full scan (token rules + call-graph pass) at the default taint depth.
+/// Full scan: token rules and table rules.
 fn scan(files: &[SourceFile]) -> fdwlint::ScanOutcome {
-    scan_workspace(files, &AnalysisOptions::default())
+    scan_workspace(files)
 }
 
 /// `v` as an upper-case hex literal in `_`-separated groups of four
@@ -123,33 +123,6 @@ fn per_rule_fixtures() -> Vec<(&'static str, SourceFile, SourceFile)> {
                 "eew",
                 "crates/eew/src/fx.rs",
                 "fn f(x: Option<u32>) -> Result<u32, Error> { x.ok_or(Error::Missing) }\n",
-            ),
-        ),
-        (
-            "nondet-flow-to-sink",
-            src(
-                "fdw-obs",
-                "crates/obs/src/fx.rs",
-                "pub fn digest_fold(h: u64, x: u64) -> u64 { h ^ x }\n\
-                 pub fn stamp(m: &HashMap<u64, u64>) -> u64 {\n\
-                 \x20   let mut h = 0;\n\
-                 \x20   for (k, v) in m.iter() {\n\
-                 \x20       h = digest_fold(h, k ^ v);\n\
-                 \x20   }\n\
-                 \x20   h\n\
-                 }\n",
-            ),
-            src(
-                "fdw-obs",
-                "crates/obs/src/fx.rs",
-                "pub fn digest_fold(h: u64, x: u64) -> u64 { h ^ x }\n\
-                 pub fn stamp(m: &BTreeMap<u64, u64>) -> u64 {\n\
-                 \x20   let mut h = 0;\n\
-                 \x20   for (k, v) in m.iter() {\n\
-                 \x20       h = digest_fold(h, k ^ v);\n\
-                 \x20   }\n\
-                 \x20   h\n\
-                 }\n",
             ),
         ),
         (
@@ -382,4 +355,37 @@ fn parallel_sites_reachable_from_the_engines_fail_through_raw_parallelism() {
         src("htcsim", split_rs, &blessed(split)),
     ])
     .is_clean());
+}
+
+#[test]
+fn hash_iteration_feeding_telemetry_fails_in_fdw_core() {
+    // A HashMap walked straight into a telemetry sink in fdw-core: the
+    // loop line fails, and a sort before the loop clears it.
+    let obs = src(
+        "fdw-obs",
+        "crates/obs/src/lib.rs",
+        "pub struct Obs;\nimpl Obs {\n    pub fn observe(&self, name: &str, v: f64) { let _ = (name, v); }\n}\n",
+    );
+    let walk = "pub fn report_phases(obs: &Obs, busy: &HashMap<String, f64>) {\n\
+                \x20   for (phase, secs) in busy.iter() {\n\
+                \x20       obs.observe(phase, *secs);\n\
+                \x20   }\n\
+                }\n";
+    let core = "crates/core/src/phases.rs";
+    let out = scan(&[src("fdw-core", core, walk), obs.clone()]);
+    let hits: Vec<(&str, &str, usize)> = out
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.rel_path.as_str(), f.line))
+        .collect();
+    assert_eq!(hits, [("unordered-hash-iteration", core, 2)]);
+
+    let sorted = "pub fn report_phases(obs: &Obs, busy: &HashMap<String, f64>) {\n\
+                  \x20   let mut rows: Vec<_> = busy.iter().collect();\n\
+                  \x20   rows.sort_by(|a, b| a.0.cmp(b.0));\n\
+                  \x20   for (phase, secs) in rows {\n\
+                  \x20       obs.observe(phase, *secs);\n\
+                  \x20   }\n\
+                  }\n";
+    assert!(scan(&[src("fdw-core", core, sorted), obs]).is_clean());
 }

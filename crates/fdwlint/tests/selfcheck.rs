@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use fdwlint::{collect_workspace_sources, report, scan_workspace, AnalysisOptions, SourceFile};
+use fdwlint::{collect_workspace_sources, report, scan_workspace, SourceFile};
 
 fn workspace_root() -> PathBuf {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -27,7 +27,7 @@ fn workspace_scans_clean() {
         .iter()
         .any(|s| s.rel_path == "crates/fdwlint/tests/selfcheck.rs"));
 
-    let outcome = scan_workspace(&sources, &AnalysisOptions::default());
+    let outcome = scan_workspace(&sources);
     assert!(
         outcome.is_clean(),
         "fdwlint violations — fix the findings or add an allow with a \
@@ -37,41 +37,10 @@ fn workspace_scans_clean() {
 }
 
 #[test]
-fn real_workspace_call_graph_resolves_95_percent_of_sites() {
-    // The taint pass is only as sound as its call resolution. If the
-    // item parser or the resolver regresses, unresolved sites silently
-    // hide flows — gate on the real workspace's resolution rate.
-    let root = workspace_root();
-    let sources = collect_workspace_sources(&root).unwrap();
-    let outcome = scan_workspace(&sources, &AnalysisOptions::default());
-    let g = outcome.graph_stats;
-    assert!(g.total_sites > 5_000, "suspiciously few call sites: {g:?}");
-    assert!(
-        g.resolution_rate() >= 0.95,
-        "call-site resolution regressed below 95%: {g:?}"
-    );
-}
-
-#[test]
-fn no_nondet_flow_is_allowed_in_the_workspace() {
-    // No source->sink flow in the workspace is blessed: host time is
-    // measured by perfbench, outside it, so no allow directive downgrades
-    // a flow to an AllowedFlow and every flow the pass finds is reported.
-    let root = workspace_root();
-    let sources = collect_workspace_sources(&root).unwrap();
-    let outcome = scan_workspace(&sources, &AnalysisOptions::default());
-    assert!(
-        outcome.allowed_flows.is_empty(),
-        "unexpected allowed flows: {:#?}",
-        outcome.allowed_flows
-    );
-}
-
-#[test]
 fn json_report_of_the_workspace_validates() {
     let root = workspace_root();
     let sources = collect_workspace_sources(&root).unwrap();
-    let outcome = scan_workspace(&sources, &AnalysisOptions::default());
+    let outcome = scan_workspace(&sources);
     let doc = report::json(&outcome);
     assert!(
         fdw_obs::json::validate(&doc).is_ok(),
@@ -79,8 +48,11 @@ fn json_report_of_the_workspace_validates() {
     );
     assert!(doc.contains("\"tool\": \"fdwlint\""));
     assert!(doc.contains("\"status\": \"clean\""));
+    assert!(doc.contains("\"version\": 3,"), "{doc}");
     assert!(doc.contains("\"findings\": [\n  ]"), "{doc}");
-    assert!(doc.contains("\"allowed_flows\": [\n  ]"), "{doc}");
+    for gone in ["\"allowed_flows\"", "\"graph\""] {
+        assert!(!doc.contains(gone), "{gone} in {doc}");
+    }
 }
 
 #[test]
@@ -96,7 +68,7 @@ fn dead_config_knob_binds_every_key_of_the_real_table() {
         rel_path: rel_path.into(),
         text,
     }];
-    let outcome = scan_workspace(&sources, &AnalysisOptions::default());
+    let outcome = scan_workspace(&sources);
     let keys: Vec<&str> = outcome
         .findings
         .iter()

@@ -162,6 +162,23 @@ impl PoolFaultConfig {
                 return Err(format!("{name} must be finite and non-negative, got {v}"));
             }
         }
+        // A live window on a pool the federation does not have would
+        // index past its pool table when the window opens.
+        let pools = crate::federation::pool_specs().len() as u32;
+        for (name, pool, window_s) in [
+            ("outage_pool", self.outage_pool, self.outage_duration_s),
+            (
+                "partition_pool",
+                self.partition_pool,
+                self.partition_duration_s,
+            ),
+        ] {
+            if window_s > 0.0 && pool >= pools {
+                return Err(format!(
+                    "{name} must be a pool index below {pools} while its window is live, got {pool}"
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -209,14 +226,13 @@ impl FaultConfig {
                 return Err(format!("{name} must be in [0, 1], got {p}"));
             }
         }
-        if !self.hold_release_s.is_finite() {
+        // Every hold waits this long, transfer holds included, whatever
+        // `hold_prob` is.
+        let release = self.hold_release_s;
+        if !(release.is_finite() && release > 0.0) {
             return Err(format!(
-                "hold_release_s must be finite, got {}",
-                self.hold_release_s
+                "hold_release_s must be finite and positive, got {release}"
             ));
-        }
-        if self.hold_prob > 0.0 && self.hold_release_s <= 0.0 {
-            return Err("hold_release_s must be positive when hold_prob > 0".into());
         }
         self.pool.validate()
     }

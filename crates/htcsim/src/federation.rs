@@ -119,9 +119,10 @@ impl FederationConfig {
 }
 
 /// The fixed pool trio modelled by this federation: a shared OSPool-like
-/// pool, the dedicated VDC, and an elastic cloud pool.
-pub fn pool_specs() -> Vec<PoolSpec> {
-    vec![
+/// pool, the dedicated VDC, and an elastic cloud pool. A pool index is a
+/// position in this array.
+pub fn pool_specs() -> [PoolSpec; 3] {
+    [
         PoolSpec {
             name: "ospool",
             class: PoolClass::Shared,

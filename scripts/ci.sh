@@ -41,17 +41,18 @@ for spec in grid_sweep:9d4df1aca382c859 burst_replay:08a7cbbe826e72f2; do
   esac
 done
 
-echo "==> fdwlint v2 (token + call-graph determinism lints)"
-# The graph pass (item parse, call resolution, taint over ~all workspace
-# sources) runs on every commit — hold it to a 30s wall-time budget so it
-# can never become the slow stage. The release binary is already built.
-# One scan: any finding or bad allow directive exits 1, with file:line
-# diagnostics on stderr; the JSON report goes to the file.
+echo "==> fdwlint (token determinism lints + the two table rules)"
+# One scan, no graph pass: each workspace source is lexed once, the token
+# rules run over it line by line, and the two table rules check the
+# parameter-file keys and the ULOG codes. Any finding or bad allow
+# directive exits 1, with file:line diagnostics on stderr; the JSON
+# report goes to the file. The release binary is already built; hold the
+# stage to a 30s wall-time budget so it can never become the slow stage.
 lint_t0=$(date +%s)
 cargo run -q -p fdwlint --release -- --json > target/fdwlint.report.json
 lint_wall=$(( $(date +%s) - lint_t0 ))
 if [ "$lint_wall" -ge 30 ]; then
-  echo "fdwlint stage took ${lint_wall}s — over the 30s budget; profile the graph pass"
+  echo "fdwlint stage took ${lint_wall}s — over the 30s budget; profile the scan"
   exit 1
 fi
 echo "  fdwlint wall time: ${lint_wall}s (budget 30s)"

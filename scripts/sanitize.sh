@@ -20,12 +20,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Report a byte mismatch between FDW_THREADS=1 and a higher thread count.
-# Every mismatch fails: no nondeterministic flow into a serialized sink is
-# allowed, so fdwlint reports any it can see.
+# Every mismatch fails: fdwlint flags each nondeterminism source on its
+# own line, so no mismatch is expected.
 #   mismatch <artifact> <threads>  -> sets fail=1
 mismatch() {
   echo "  BYTE MISMATCH: $1 differs between FDW_THREADS=1 and FDW_THREADS=$2"
-  echo "    run 'cargo run -p fdwlint' to look for a nondeterministic dataflow"
+  echo "    run 'cargo run -p fdwlint' to look for a nondeterminism source"
   fail=1
 }
 
