@@ -538,6 +538,44 @@ fn lane_seeds_and_science_digests_are_pinned() {
 }
 
 #[test]
+fn service_log_and_digests_are_pinned_at_one_and_two_threads() {
+    // The defended front-end run of the test above, at DES threads 1 and
+    // 2: its rendered user log and both engine digests. The log is built
+    // post-run in (time, job, kind) order, so a change to how the
+    // controller buffers or sorts its events fails here first.
+    use fdw_suite::fdw_obs::digest::{fnv1a, DIGEST_INIT};
+    use fdw_suite::fdw_service::config::ServiceConfig;
+    use fdw_suite::fdw_service::engine::run_service;
+    use fdw_suite::fdw_service::request::WorkloadConfig;
+    use fdw_suite::htcsim::condor_log::to_condor_log;
+    let wl = WorkloadConfig {
+        seed: 11,
+        campaigns: 24,
+        classes: 2,
+        overload_x: 3.0,
+        replicas: 2,
+        ..Default::default()
+    };
+    for threads in [1, 2] {
+        let report = run_service(&ServiceConfig::defended(3), &wl, 2, 60, threads);
+        let ulog = to_condor_log(&report.log);
+        assert_eq!(
+            [
+                fnv1a(DIGEST_INIT, ulog.as_bytes()),
+                report.decision_digest,
+                report.engine_digest,
+            ],
+            [
+                0x4dd5_65b9_e52c_58ed,
+                0x6884_87c0_1789_3156,
+                0xec51_b1d2_882a_b882,
+            ],
+            "pinned ULOG, decision and engine digests at {threads} threads"
+        );
+    }
+}
+
+#[test]
 fn different_seeds_give_different_worlds() {
     let cfg = FdwConfig::parse("station_input = small\nn_waveforms = 96\n").unwrap();
     let a = run_fdw(&cfg, cluster(), 1).unwrap().report.makespan;
