@@ -217,9 +217,12 @@ impl<M: LaneModel> ShardedEngine<M> {
         self.lanes[lane as usize].push(time, ev);
     }
 
-    /// Iterate the lane models (for post-run statistics).
-    pub fn models(&self) -> impl Iterator<Item = &M> {
-        self.lanes.iter().map(|l| &l.model)
+    /// Consume the engine and yield its lane models in lane order (for
+    /// post-run statistics). Each lane's heap and outbox are dropped as
+    /// its model is yielded, and models the caller does not take are
+    /// dropped with the iterator.
+    pub fn into_models(self) -> impl Iterator<Item = M> {
+        self.lanes.into_iter().map(|l| l.model)
     }
 
     fn report(&self) -> EngineReport {
@@ -607,8 +610,9 @@ mod tests {
         let cfg = small();
         let mut engine = synth_engine(&cfg);
         engine.run_sharded(2);
-        let completed: u64 = engine.models().map(|m| m.completed).sum();
-        let migrated: u64 = engine.models().map(|m| m.migrated_out).sum();
+        let lanes: Vec<SynthLane> = engine.into_models().collect();
+        let completed: u64 = lanes.iter().map(|m| m.completed).sum();
+        let migrated: u64 = lanes.iter().map(|m| m.migrated_out).sum();
         assert_eq!(
             completed,
             u64::from(cfg.lanes) * u64::from(cfg.jobs_per_lane),
@@ -668,7 +672,7 @@ mod tests {
         engine.seed_event(0, SimTime(10), Ev::Ping);
         engine.seed_event(1, SimTime(150), Ev::Ping);
         engine.run_sharded(2);
-        let lanes: Vec<&Echo> = engine.models().collect();
+        let lanes: Vec<Echo> = engine.into_models().collect();
         // Ping at t=10 (epoch [0,100)): pong clamps to the boundary 100.
         assert_eq!(lanes[1].recv_times, vec![100]);
         // Ping at t=150 (epoch [100,200)): 150+5 clamps to 200.

@@ -67,6 +67,17 @@ impl UserLog {
         self.events.push(ev);
     }
 
+    /// A log holding `events` as they are, without a copy: the caller
+    /// hands over a buffer already in time order, the order `record`
+    /// would have appended it in (debug builds check this).
+    pub fn from_events(events: Vec<JobEvent>) -> Self {
+        debug_assert!(
+            events.windows(2).all(|w| w[0].time <= w[1].time),
+            "user log events must be in time order"
+        );
+        Self { events }
+    }
+
     /// All events, in record order (which is time order).
     pub fn events(&self) -> &[JobEvent] {
         &self.events
@@ -344,6 +355,34 @@ mod tests {
         log.record(ev(125, 2, JobEventKind::ExecuteStarted));
         log.record(ev(300, 2, JobEventKind::Completed));
         log
+    }
+
+    #[test]
+    fn from_events_takes_the_buffer_as_recorded() {
+        let events = vec![
+            ev(0, 1, JobEventKind::Submitted),
+            ev(0, 2, JobEventKind::Submitted),
+            ev(60, 1, JobEventKind::ExecuteStarted),
+            ev(300, 1, JobEventKind::Completed),
+        ];
+        let mut recorded = UserLog::new();
+        for e in &events {
+            recorded.record(*e);
+        }
+        let buffer = events.as_ptr();
+        let log = UserLog::from_events(events);
+        assert_eq!(log.events().as_ptr(), buffer, "the buffer moves in");
+        assert_eq!(log.events(), recorded.events());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time order")]
+    fn from_events_checks_time_order_in_debug_builds() {
+        UserLog::from_events(vec![
+            ev(60, 1, JobEventKind::Completed),
+            ev(0, 1, JobEventKind::Submitted),
+        ]);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! Two details keep the exec-shard invariance byte-exact even when two
 //! campaigns finish at the same instant on different executor lanes:
 //! completion records fold into the decision digest through a
-//! *commutative* accumulator, and the user log is rebuilt post-run in
-//! `(time, job, rank)` order rather than raw handling order.
+//! *commutative* accumulator, and the user log is sorted post-run, in
+//! place, into `(time, job, kind_rank)` order rather than raw handling
+//! order.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -167,13 +168,6 @@ struct InFlight {
     work_s: u64,
 }
 
-/// One raw log record plus its stable-sort rank (see module docs).
-#[derive(Debug, Clone, Copy)]
-struct RawEvent {
-    rank: u8,
-    ev: JobEvent,
-}
-
 struct Controller {
     cfg: ServiceConfig,
     exec_shards: u32,
@@ -181,12 +175,13 @@ struct Controller {
     queues: BTreeMap<u32, VecDeque<CampaignRequest>>,
     drr: DeficitRoundRobin,
     breakers: BTreeMap<u32, TenantBreaker>,
-    running: u32,
+    /// In-flight campaigns per tenant; `inflight.len()` is the total.
     running_of: BTreeMap<u32, u32>,
     inflight: BTreeMap<u64, InFlight>,
     outcomes: BTreeMap<u64, RequestOutcome>,
     stats: ServiceStats,
-    raw_log: Vec<RawEvent>,
+    /// User-log events in handling order; sorted once, post-run.
+    log: Vec<JobEvent>,
     /// Ordered fold of arrival + dispatch decisions.
     digest: u64,
     /// Commutative fold of completion records (exec-shard invariant).
@@ -209,13 +204,6 @@ fn kind_rank(kind: JobEventKind) -> u8 {
 }
 
 impl Controller {
-    fn log(&mut self, ev: JobEvent) {
-        self.raw_log.push(RawEvent {
-            rank: kind_rank(ev.kind),
-            ev,
-        });
-    }
-
     fn fold(&mut self, tag: u64, a: u64, b: u64) {
         self.digest = digest_fold(self.digest, tag);
         self.digest = digest_fold(self.digest, a);
@@ -280,8 +268,8 @@ impl Controller {
             }
         }
         if protections && self.cfg.shed_backlog > 0 && self.backlog() >= self.cfg.shed_backlog {
-            self.log(ev);
-            self.log(
+            self.log.push(ev);
+            self.log.push(
                 JobEvent::new(
                     now,
                     JobId(req.id),
@@ -295,8 +283,8 @@ impl Controller {
             self.terminal(req, Disposition::Shed(ShedReason::BacklogOverflow));
             return;
         }
-        self.log(ev);
-        self.log(JobEvent::new(
+        self.log.push(ev);
+        self.log.push(JobEvent::new(
             now,
             JobId(req.id),
             OwnerId(req.tenant),
@@ -309,7 +297,7 @@ impl Controller {
     }
 
     fn reject(&mut self, now: SimTime, req: CampaignRequest, reason: RejectReason) {
-        self.log(
+        self.log.push(
             JobEvent::new(
                 now,
                 JobId(req.id),
@@ -332,8 +320,8 @@ impl Controller {
     /// the call — that is what makes simultaneous finishes on
     /// different executor lanes order-insensitive.
     fn dispatch(&mut self, now: SimTime, fx: &mut htcsim::des::Effects<'_, ServiceEv>) {
-        let cap = self.cfg.max_concurrent.max(1);
-        while self.running < cap {
+        let cap = self.cfg.max_concurrent.max(1) as usize;
+        while self.inflight.len() < cap {
             let heads: BTreeMap<u32, u64> = self
                 .queues
                 .iter()
@@ -421,7 +409,7 @@ impl Controller {
         if self.cfg.enabled && self.cfg.tenant_deadline_shed {
             let floor = replicas as u64 * REPLICA_COST_S;
             if now + floor > req.deadline {
-                self.log(
+                self.log.push(
                     JobEvent::new(now, jid, owner, JobEventKind::ServiceShed)
                         .with_service(ServiceDetail::Shed(ShedReason::DeadlineUnreachable)),
                 );
@@ -432,7 +420,7 @@ impl Controller {
             }
         }
         if let Some(mode) = degraded {
-            self.log(
+            self.log.push(
                 JobEvent::new(now, jid, owner, JobEventKind::ServiceDegraded)
                     .with_service(ServiceDetail::Degrade(mode)),
             );
@@ -456,7 +444,7 @@ impl Controller {
             let store = self.store.as_mut().expect("store enabled implies store");
             match store.lookup(digest, req.tenant) {
                 Lookup::Hit { .. } => {
-                    self.log(
+                    self.log.push(
                         JobEvent::new(now, jid, owner, JobEventKind::ArtifactHit)
                             .with_service(ServiceDetail::Artifact(kind)),
                     );
@@ -465,7 +453,7 @@ impl Controller {
                 Lookup::ServedCorrupt => {
                     // Indistinguishable from a hit at serve time; the
                     // poison surfaces as a failed campaign.
-                    self.log(
+                    self.log.push(
                         JobEvent::new(now, jid, owner, JobEventKind::ArtifactHit)
                             .with_service(ServiceDetail::Artifact(kind)),
                     );
@@ -473,7 +461,7 @@ impl Controller {
                     poisoned = true;
                 }
                 Lookup::Quarantined => {
-                    self.log(
+                    self.log.push(
                         JobEvent::new(now, jid, owner, JobEventKind::ArtifactQuarantined)
                             .with_service(ServiceDetail::Artifact(kind)),
                     );
@@ -490,7 +478,8 @@ impl Controller {
         }
         let work_s = work_s.max(1);
         let ok = !req.fails && !poisoned;
-        self.log(JobEvent::new(now, jid, owner, JobEventKind::ExecuteStarted));
+        self.log
+            .push(JobEvent::new(now, jid, owner, JobEventKind::ExecuteStarted));
         self.fold(7, req.id, work_s);
         self.inflight.insert(
             req.id,
@@ -501,7 +490,6 @@ impl Controller {
                 work_s,
             },
         );
-        self.running += 1;
         *self.running_of.entry(req.tenant).or_insert(0) += 1;
         let lane = 1 + req.tenant % self.exec_shards.max(1);
         fx.send(
@@ -526,13 +514,12 @@ impl Controller {
             return;
         };
         let req = fl.request;
-        self.running = self.running.saturating_sub(1);
         if let Some(r) = self.running_of.get_mut(&req.tenant) {
             *r = r.saturating_sub(1);
         }
         let in_deadline = now <= req.deadline;
         if ok {
-            self.log(
+            self.log.push(
                 JobEvent::new(now, JobId(id), OwnerId(req.tenant), JobEventKind::Completed)
                     .with_exit(0),
             );
@@ -553,7 +540,7 @@ impl Controller {
                 },
             );
         } else {
-            self.log(
+            self.log.push(
                 JobEvent::new(now, JobId(id), OwnerId(req.tenant), JobEventKind::Failed)
                     .with_exit(1),
             );
@@ -665,12 +652,11 @@ pub fn run_service(
         queues: BTreeMap::new(),
         drr: DeficitRoundRobin::new(),
         breakers: BTreeMap::new(),
-        running: 0,
         running_of: BTreeMap::new(),
         inflight: BTreeMap::new(),
         outcomes: BTreeMap::new(),
         stats: ServiceStats::default(),
-        raw_log: Vec::new(),
+        log: Vec::new(),
         digest: DIGEST_INIT,
         finish_acc: 0,
     };
@@ -683,23 +669,30 @@ pub fn run_service(
         engine.seed_event(0, req.submit, ServiceEv::Arrive(req));
     }
     let er = engine.run_sharded(threads.max(1));
+    // Taking the controller drops every lane heap and the executor lanes.
     let controller = engine
-        .models()
+        .into_models()
         .find_map(|l| match l {
             Lane::Controller(c) => Some(c),
             Lane::Executor(_) => None,
         })
         .expect("lane 0 is the controller");
+    let decision_digest = controller.decision_digest();
+    let Controller {
+        mut log,
+        outcomes,
+        stats,
+        store,
+        ..
+    } = *controller;
 
-    // Rebuild the log in the mode-invariant (time, job, rank) order.
-    let mut raw = controller.raw_log.clone();
-    raw.sort_by_key(|r| (r.ev.time, r.ev.job, r.rank));
-    let mut log = UserLog::new();
-    for r in &raw {
-        log.record(r.ev);
-    }
+    // Sort the one log buffer in place into the mode-invariant
+    // (time, job, kind_rank) order; the stable sort keeps handling order
+    // within a key, and the sorted buffer moves into the user log.
+    log.sort_by_key(|e| (e.time, e.job, kind_rank(e.kind)));
+    let log = UserLog::from_events(log);
 
-    let outcomes: Vec<RequestOutcome> = controller.outcomes.values().copied().collect();
+    let outcomes: Vec<RequestOutcome> = outcomes.into_values().collect();
     let mut per_tenant: BTreeMap<u32, TenantReport> = BTreeMap::new();
     let mut latencies: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     for o in &outcomes {
@@ -739,19 +732,15 @@ pub fn run_service(
             t.p99_latency_s = ls[idx];
         }
     }
-    let store_stats = controller
-        .store
-        .as_ref()
-        .map(|s| s.stats())
-        .unwrap_or_default();
+    let store_stats = store.as_ref().map(|s| s.stats()).unwrap_or_default();
     ServiceReport {
         events: er.events,
         makespan: er.makespan,
         engine_digest: er.digest,
-        decision_digest: controller.decision_digest(),
+        decision_digest,
         unaccounted: expected - outcomes.len(),
         outcomes,
-        stats: controller.stats,
+        stats,
         store: store_stats,
         per_tenant,
         log,
