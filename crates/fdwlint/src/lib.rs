@@ -57,8 +57,8 @@ pub fn scan_workspace(files: &[SourceFile]) -> ScanOutcome {
     let infos: Vec<FileInfo> = files.iter().map(FileInfo::new).collect();
     let mut findings = tables::scan(&infos);
     let mut directive_errors = Vec::new();
-    for (src, info) in files.iter().zip(&infos) {
-        findings.extend(rules::scan_file(info, &src.text));
+    for info in &infos {
+        findings.extend(rules::scan_file(info));
         directive_errors.extend(info.allows.errors.iter().cloned());
     }
     // Deterministic report order regardless of the walk.

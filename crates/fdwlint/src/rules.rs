@@ -182,11 +182,13 @@ pub struct DirectiveError {
 /// One source file of a scan, lexed once: the token rules and the table
 /// rules all read these channels and directives.
 #[derive(Debug)]
-pub(crate) struct FileInfo {
+pub(crate) struct FileInfo<'a> {
     /// Package name owning the file.
     pub(crate) crate_name: String,
     /// Workspace-relative path.
     pub(crate) rel_path: String,
+    /// The source text, which findings quote.
+    text: &'a str,
     /// Masked lexer channels.
     pub(crate) masked: Masked,
     /// Under a `tests/`/`benches/`/`examples/` tree: every rule skips it.
@@ -196,18 +198,37 @@ pub(crate) struct FileInfo {
     pub(crate) allows: Allows,
 }
 
-impl FileInfo {
+impl<'a> FileInfo<'a> {
     /// Mask `f` and parse its allow directives.
-    pub(crate) fn new(f: &SourceFile) -> Self {
+    pub(crate) fn new(f: &'a SourceFile) -> Self {
         let masked = mask(&f.text);
         Self {
             crate_name: f.crate_name.clone(),
             rel_path: f.rel_path.clone(),
+            text: &f.text,
             is_test_path: ["tests/", "benches/", "examples/"]
                 .iter()
                 .any(|d| f.rel_path.starts_with(d) || f.rel_path.contains(&format!("/{d}"))),
             allows: parse_allows(&f.rel_path, &masked.comments),
             masked,
+        }
+    }
+
+    /// A finding at 1-based `line`, quoting the source line (never the
+    /// masked one, whose literals and comments are blanked).
+    pub(crate) fn finding(&self, rule: &'static str, line: usize, chain: Vec<String>) -> Finding {
+        Finding {
+            rule,
+            rel_path: self.rel_path.clone(),
+            line,
+            excerpt: self
+                .text
+                .lines()
+                .nth(line.saturating_sub(1))
+                .unwrap_or("")
+                .trim()
+                .to_string(),
+            chain,
         }
     }
 }
@@ -288,9 +309,8 @@ fn parse_allows(rel_path: &str, comments: &[String]) -> Allows {
     out
 }
 
-/// Scan one file against every token rule. `text` is the file's source,
-/// which the findings quote.
-pub(crate) fn scan_file(file: &FileInfo, text: &str) -> Vec<Finding> {
+/// Scan one file against every token rule.
+pub(crate) fn scan_file(file: &FileInfo) -> Vec<Finding> {
     let mut findings = Vec::new();
     if file.is_test_path {
         return findings;
@@ -300,13 +320,7 @@ pub(crate) fn scan_file(file: &FileInfo, text: &str) -> Vec<Finding> {
         if file.allows.allowed(rule, line) {
             return;
         }
-        findings.push(Finding {
-            rule,
-            rel_path: file.rel_path.clone(),
-            line,
-            excerpt: text.lines().nth(line - 1).unwrap_or("").trim().to_string(),
-            chain: Vec::new(),
-        });
+        findings.push(file.finding(rule, line, Vec::new()));
     };
 
     let hash_names = collect_hash_names(&m.code, &m.in_test);
@@ -584,7 +598,7 @@ mod tests {
     /// Token-rule findings and directive errors of one file.
     fn scan(f: &SourceFile) -> (Vec<Finding>, Vec<DirectiveError>) {
         let info = FileInfo::new(f);
-        (scan_file(&info, &f.text), info.allows.errors)
+        (scan_file(&info), info.allows.errors)
     }
 
     fn rules_fired(f: &SourceFile) -> Vec<&'static str> {

@@ -32,22 +32,6 @@ pub(crate) fn scan(files: &[FileInfo]) -> Vec<Finding> {
     findings
 }
 
-/// A table-rule finding at `line` of `file`, quoting the masked line.
-fn finding_at(file: &FileInfo, rule: &'static str, line: usize, chain: Vec<String>) -> Finding {
-    Finding {
-        rule,
-        rel_path: file.rel_path.clone(),
-        line,
-        excerpt: file
-            .masked
-            .code
-            .get(line.saturating_sub(1))
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default(),
-        chain,
-    }
-}
-
 /// Read the `"<key>" => <field path>` rows of the parameter file's key
 /// table and check each bound field is read somewhere outside the config
 /// module.
@@ -145,7 +129,7 @@ fn dead_config_knob(files: &[FileInfo], findings: &mut Vec<Finding>) {
         let chain = vec![format!(
             "knob '{key}' binds {field}; no read of `.{rn}` outside {CONFIG_FILE}"
         )];
-        findings.push(finding_at(config, RULE, *line, chain));
+        findings.push(config.finding(RULE, *line, chain));
     }
 }
 
@@ -204,7 +188,7 @@ fn ulog_code_registry(files: &[FileInfo], findings: &mut Vec<Finding>) {
         let Some((lo, hi)) = inline_mod_span(&file.masked.code, "codes") else {
             if !file.allows.allowed(RULE, 1) {
                 let chain = vec![format!("{REGISTRY_FILE} has no `mod codes` registry block")];
-                findings.push(finding_at(file, RULE, 1, chain));
+                findings.push(file.finding(RULE, 1, chain));
             }
             return;
         };
@@ -220,7 +204,7 @@ fn ulog_code_registry(files: &[FileInfo], findings: &mut Vec<Finding>) {
                         let chain = vec![format!(
                             "code \"{lit}\" already defined at {REGISTRY_FILE}:{first}"
                         )];
-                        findings.push(finding_at(file, RULE, line, chain));
+                        findings.push(file.finding(RULE, line, chain));
                     }
                 } else {
                     reg_codes.insert(lit.clone(), line);
@@ -257,7 +241,7 @@ fn ulog_code_registry(files: &[FileInfo], findings: &mut Vec<Finding>) {
                 let chain = vec![format!(
                     "ULOG code \"{lit}\" spelled as a literal; reference htcsim::condor_log::codes"
                 )];
-                findings.push(finding_at(file, RULE, line, chain));
+                findings.push(file.finding(RULE, line, chain));
             }
         }
     }
@@ -280,22 +264,35 @@ mod tests {
         scan(&files.iter().map(FileInfo::new).collect::<Vec<_>>())
     }
 
+    /// A key table whose last row binds a field nothing reads.
+    const CONFIG: &str = "config_keys! {\n\
+                          \x20   \"region\" => region via Region,\n\
+                          \x20   \"mw_min\" => mw_range.0,\n\
+                          \x20   \"fault_seed\" => fault.seed,\n\
+                          \x20   \"live_knob\" => live_knob,\n\
+                          \x20   \"ghost_knob\" => ghost_knob,\n\
+                          }\n";
+    /// Reads every field of `CONFIG` but the ghost knob's.
+    const READER: &str = "pub fn run(cfg: &FdwConfig) -> u32 {\n\
+                          \x20   steer(cfg.region, cfg.mw_range.0, cfg.fault.seed);\n\
+                          \x20   cfg.live_knob\n\
+                          }\n";
+    /// A registry that defines "005" twice.
+    const REGISTRY: &str = "pub mod codes {\n\
+                            \x20   pub const SUBMITTED: &str = \"000\";\n\
+                            \x20   pub const TERMINATED: &str = \"005\";\n\
+                            \x20   pub const DUP: &str = \"005\";\n\
+                            }\n";
+    /// Spells a registered code as a literal.
+    const STRAY: &str = "pub fn grep_terminations(text: &str) -> usize {\n\
+                         \x20   text.matches(\"005\").count()\n\
+                         }\n";
+
     #[test]
     fn dead_config_knob_fires_and_read_silences() {
-        let config = "config_keys! {\n\
-                      \x20   \"region\" => region via Region,\n\
-                      \x20   \"mw_min\" => mw_range.0,\n\
-                      \x20   \"fault_seed\" => fault.seed,\n\
-                      \x20   \"live_knob\" => live_knob,\n\
-                      \x20   \"ghost_knob\" => ghost_knob,\n\
-                      }\n";
-        let reader = "pub fn run(cfg: &FdwConfig) -> u32 {\n\
-                      \x20   steer(cfg.region, cfg.mw_range.0, cfg.fault.seed);\n\
-                      \x20   cfg.live_knob\n\
-                      }\n";
         let findings = run(&[
-            src("fdw-core", "crates/core/src/config.rs", config),
-            src("fdw-core", "crates/core/src/runner.rs", reader),
+            src("fdw-core", "crates/core/src/config.rs", CONFIG),
+            src("fdw-core", "crates/core/src/runner.rs", READER),
         ]);
         let dead: Vec<&Finding> = findings
             .iter()
@@ -308,17 +305,9 @@ mod tests {
 
     #[test]
     fn ulog_registry_duplicates_and_stray_literals() {
-        let registry = "pub mod codes {\n\
-                        \x20   pub const SUBMITTED: &str = \"000\";\n\
-                        \x20   pub const TERMINATED: &str = \"005\";\n\
-                        \x20   pub const DUP: &str = \"005\";\n\
-                        }\n";
-        let stray = "pub fn grep_terminations(text: &str) -> usize {\n\
-                     \x20   text.matches(\"005\").count()\n\
-                     }\n";
         let findings = run(&[
-            src("htcsim", "crates/htcsim/src/condor_log.rs", registry),
-            src("dagman", "crates/dagman/src/monitor.rs", stray),
+            src("htcsim", "crates/htcsim/src/condor_log.rs", REGISTRY),
+            src("dagman", "crates/dagman/src/monitor.rs", STRAY),
         ]);
         let hits: Vec<&Finding> = findings
             .iter()
@@ -335,6 +324,36 @@ mod tests {
         assert!(findings
             .iter()
             .all(|f| f.rule != "ulog-code-registry" || !f.chain[0].contains("100")));
+    }
+
+    #[test]
+    fn table_findings_quote_the_source_line() {
+        // The masked line blanks the literal a finding is about.
+        let findings = run(&[
+            src("fdw-core", "crates/core/src/config.rs", CONFIG),
+            src("fdw-core", "crates/core/src/runner.rs", READER),
+            src("htcsim", "crates/htcsim/src/condor_log.rs", REGISTRY),
+            src("dagman", "crates/dagman/src/monitor.rs", STRAY),
+        ]);
+        let excerpt = |rule: &str, path: &str| -> Vec<&str> {
+            findings
+                .iter()
+                .filter(|f| f.rule == rule && f.rel_path.ends_with(path))
+                .map(|f| f.excerpt.as_str())
+                .collect()
+        };
+        assert_eq!(
+            excerpt("dead-config-knob", "config.rs"),
+            ["\"ghost_knob\" => ghost_knob,"]
+        );
+        assert_eq!(
+            excerpt("ulog-code-registry", "monitor.rs"),
+            ["text.matches(\"005\").count()"]
+        );
+        assert_eq!(
+            excerpt("ulog-code-registry", "condor_log.rs"),
+            ["pub const DUP: &str = \"005\";"]
+        );
     }
 
     #[test]
