@@ -14,6 +14,8 @@ echo "==> perfbench (own tests; each declared workload reproduces golden.json)"
 # perfbench/golden.json pins the digest of each declared workload's
 # full-size science. A short untraced run must end with "correct": true:
 # every operation passed its gates and the digest equals the golden one.
+# Each correct run also prints its run_s and peak_rss_mb, so every CI log
+# shows a time or memory regression; neither is gated here.
 # --include-ignored also runs grid_points_replay_byte_identically, which
 # replays grid points on a churny pool twice and compares the bytes
 # (about 0.1 s), so every cluster change is checked for replay.
@@ -23,7 +25,10 @@ for w in $(python3 -c 'import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
   last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 5 --trace 0 | tail -n 1)
   case "$last" in
-    *'"correct": true'*) echo "  $w: correct" ;;
+    *'"correct": true'*)
+      echo "  $w: correct, $(python3 -c 'import json, sys
+m = json.loads(sys.argv[1])["metrics"]
+print("run_s %.3f s, peak_rss_mb %.2f MiB" % (m["run_s"]["value"], m["peak_rss_mb"]["value"]))' "$last")" ;;
     *) echo "perfbench $w: not correct: $last"; exit 1 ;;
   esac
 done
