@@ -180,7 +180,8 @@ struct Controller {
     inflight: BTreeMap<u64, InFlight>,
     outcomes: BTreeMap<u64, RequestOutcome>,
     stats: ServiceStats,
-    /// User-log events in handling order; sorted once, post-run.
+    /// User-log events in handling order, which is time order; sorted
+    /// within each instant once, post-run.
     log: Vec<JobEvent>,
     /// Ordered fold of arrival + dispatch decisions.
     digest: u64,
@@ -686,10 +687,16 @@ pub fn run_service(
         ..
     } = *controller;
 
-    // Sort the one log buffer in place into the mode-invariant
-    // (time, job, kind_rank) order; the stable sort keeps handling order
-    // within a key, and the sorted buffer moves into the user log.
-    log.sort_by_key(|e| (e.time, e.job, kind_rank(e.kind)));
+    // Put the one log buffer in the mode-invariant (time, job, kind_rank)
+    // order, in place. Lane 0 handles its events in time order, so the
+    // buffer is already sorted by time: a stable sort of each equal-time
+    // run on (job, kind_rank) gives the order a stable sort of the whole
+    // buffer on (time, job, kind_rank) would, without that sort's
+    // log-sized scratch copy. `from_events` checks the time order in
+    // debug builds.
+    for same_time in log.chunk_by_mut(|a, b| a.time == b.time) {
+        same_time.sort_by_key(|e| (e.job, kind_rank(e.kind)));
+    }
     let log = UserLog::from_events(log);
 
     let outcomes: Vec<RequestOutcome> = outcomes.into_values().collect();
@@ -826,6 +833,16 @@ mod tests {
             ..Default::default()
         };
         let base = run_service(&cfg, &w, 1, 60, 1);
+        let keys: Vec<_> = base
+            .log
+            .events()
+            .iter()
+            .map(|e| (e.time, e.job, kind_rank(e.kind)))
+            .collect();
+        assert!(
+            keys.windows(2).all(|k| k[0] <= k[1]),
+            "log out of (time, job, kind_rank) order"
+        );
         for (shards, threads) in [(1, 2), (2, 1), (2, 4), (4, 2), (7, 3)] {
             let r = run_service(&cfg, &w, shards, 60, threads);
             assert_eq!(
